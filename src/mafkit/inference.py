@@ -4,6 +4,12 @@ and factor-count selection.
 All resampling draws come from per-replicate RNG streams spawned
 deterministically from (seed, replicate index), so results are bit-identical
 across runs and independent of any evaluation order.
+
+Replicates run in chunks: the replicate panels of one chunk (about
+CHUNK_BYTES of values) are drawn one by one, each from its own stream with
+the same calls in the same order as a one-at-a-time loop, then stacked and
+decomposed together by `maf.maf_stack`, and their factor SNRs come from one
+`smoothing.snr_columns` call. Chunking keeps memory flat in B.
 """
 
 from __future__ import annotations
@@ -18,10 +24,10 @@ from .errors import (
     InvalidConfigError,
     SingularMatrixError,
 )
-from .maf import compute_maf
+from .maf import compute_maf, maf_stack
 from .panel import as_panel
-from .simulate import gen_sn_panel
-from .smoothing import SmootherConfig, empirical_snr, hat_matrix, smooth_columns
+from .simulate import gen_sn_stack, noise_cholesky
+from .smoothing import SmootherConfig, empirical_snr, hat_matrix, smooth_columns, snr_columns
 
 __all__ = [
     "ResamplingEnvelope",
@@ -33,6 +39,26 @@ __all__ = [
     "power_curve",
     "select_num_factors",
 ]
+
+
+# Replicate panels are decomposed CHUNK_BYTES of values at a time: enough
+# panels to amortize the per-call overhead of the batched kernel (26 at
+# 150 x 4), few enough that memory does not grow with B (1 at 3000 x 8).
+CHUNK_BYTES = 128_000
+
+
+def _chunks(B: int, n: int, p: int):
+    """(start, stop) replicate ranges of at most CHUNK_BYTES of (n, p) panels."""
+    size = max(1, CHUNK_BYTES // (8 * n * p))
+    for start in range(0, B, size):
+        yield start, min(start + size, B)
+
+
+def _factor_snrs(factors: np.ndarray, cfg: SmootherConfig) -> np.ndarray:
+    """Empirical SNRs of an (m, n, k) stack of factors, as a (k, m) array."""
+    m, n, k = factors.shape
+    columns = factors.transpose(1, 0, 2).reshape(n, m * k)
+    return snr_columns(columns, cfg).reshape(m, k).T
 
 
 def _resample_indices(rng: np.random.Generator, n: int, block_len: int) -> np.ndarray:
@@ -106,30 +132,35 @@ def resample_maf(panel, B: int, block_len: int = 1,
     children = np.random.SeedSequence(seed).spawn(B)
     retries = 0
     retry_budget = max(1, math.ceil(0.1 * B))
-    for b in range(B):
-        rng = np.random.default_rng(children[b])
-        while True:
-            idx = _resample_indices(rng, n, block_len)
-            rebuilt = fitted + residuals[idx]
-            try:
-                rep = compute_maf(rebuilt)
-                break
-            except SingularMatrixError:
+
+    def rebuild(rng):
+        return fitted + residuals[_resample_indices(rng, n, block_len)]
+
+    for start, stop in _chunks(B, n, p):
+        rngs = [np.random.default_rng(child) for child in children[start:stop]]
+        reps = maf_stack(np.stack([rebuild(rng) for rng in rngs]), n_factors,
+                         allow_singular=True)
+        factors, coefs = reps.factors, reps.coefficients
+        for i in np.flatnonzero(reps.singular):
+            # redraw from the replicate's own stream until its covariance is SPD
+            while True:
                 retries += 1
                 if retries > retry_budget:
                     raise SingularMatrixError(
                         f"more than 10% of replicates ({retries} of {B}) had a "
                         f"degenerate covariance; panel too close to singular"
                     )
-        factors = rep.factors[:, :n_factors]
-        coefs = rep.coefficients[:, :n_factors]
+                rep = maf_stack(rebuild(rngs[i])[None], n_factors, allow_singular=True)
+                if not rep.singular[0]:
+                    break
+            factors[i], coefs[i] = rep.factors[0], rep.coefficients[0]
         # align each replicate factor with the original factor it estimates
-        centered = factors - factors.mean(axis=0)
-        flips = np.where(np.einsum("tj,tj->j", centered, orig_centered) < 0, -1.0, 1.0)
-        factors = factors * flips
-        coefs = coefs * flips / np.linalg.norm(coefs, axis=0)
-        rep_factors[:, b, :] = factors.T
-        rep_coefs[:, b, :] = coefs.T
+        centered = factors - factors.mean(axis=1, keepdims=True)
+        flips = np.where(np.einsum("mtj,tj->mj", centered, orig_centered) < 0, -1.0, 1.0)
+        flips = flips[:, None, :]
+        coefs = coefs * flips / np.linalg.norm(coefs, axis=1, keepdims=True)
+        rep_factors[:, start:stop] = (factors * flips).transpose(2, 0, 1)
+        rep_coefs[:, start:stop] = coefs.transpose(2, 0, 1)
 
     bands = np.stack(
         [
@@ -216,17 +247,17 @@ def signal_presence_test(panel, B: int, cfg: SmootherConfig = SmootherConfig(),
     _, residuals, df = smooth_columns(panel.values, cfg)
     inflated = residuals * np.sqrt(n / (n - df))
 
+    def draw(child):
+        rng = np.random.default_rng(child)
+        if mode == "permutation":
+            return rng.permutation(n)
+        return _resample_indices(rng, n, block_len)
+
     null_draws = np.empty((k, B))
     children = np.random.SeedSequence(seed).spawn(B)
-    for b in range(B):
-        rng = np.random.default_rng(children[b])
-        if mode == "permutation":
-            idx = rng.permutation(n)
-        else:
-            idx = _resample_indices(rng, n, block_len)
-        rep = compute_maf(inflated[idx])
-        for j in range(k):
-            null_draws[j, b] = empirical_snr(rep.factors[:, j], cfg)
+    for start, stop in _chunks(B, n, p):
+        idx = np.stack([draw(child) for child in children[start:stop]])
+        null_draws[:, start:stop] = _factor_snrs(maf_stack(inflated[idx], k).factors, cfg)
 
     exceed = (null_draws >= observed[:, None]).sum(axis=1)
     if conservative:
@@ -274,39 +305,27 @@ def power_curve(spec, signal, multipliers, B: int, alpha: float = 0.05,
     if statistic not in ("snr", "autocorrelation"):
         raise InvalidConfigError(f"unknown statistic {statistic!r}")
 
-    def stat_of(panel) -> float:
-        decomp = compute_maf(panel)
-        if statistic == "snr":
-            return empirical_snr(decomp.factors[:, 0], cfg)
-        return float(decomp.autocorrelations[0])
+    n, p = f.size, spec.p
+    chol = noise_cholesky(spec.noise_cov, p)
+    children = np.random.SeedSequence(seed).spawn((1 + len(multipliers)) * B)
 
-    zero_b = np.zeros(spec.p)
-    n_sets = 1 + len(multipliers)
-    children = np.random.SeedSequence(seed).spawn(n_sets * B)
-    null_stats = np.array(
-        [
-            stat_of(gen_sn_panel(f, zero_b, spec.noise_cov, children[b], ar_phi=spec.k_eps))
-            for b in range(B)
-        ]
-    )
-    threshold = float(np.quantile(null_stats, 1.0 - alpha))
+    def stats(b, offset: int) -> np.ndarray:
+        out = np.empty(B)
+        for start, stop in _chunks(B, n, p):
+            panels = gen_sn_stack(f, b, chol, children[offset + start:offset + stop],
+                                  ar_phi=spec.k_eps)
+            decomp = maf_stack(panels, 1)
+            if statistic == "snr":
+                out[start:stop] = _factor_snrs(decomp.factors, cfg)[0]
+            else:
+                out[start:stop] = 1.0 - decomp.diff_eigenvalues[:, 0] / 2.0
+        return out
 
-    points = []
-    for m_idx, c in enumerate(multipliers):
-        offset = (1 + m_idx) * B
-        alt = np.array(
-            [
-                stat_of(
-                    gen_sn_panel(
-                        f, c * spec.b, spec.noise_cov, children[offset + b],
-                        ar_phi=spec.k_eps,
-                    )
-                )
-                for b in range(B)
-            ]
-        )
-        points.append(PowerPoint(multiplier=c, power=float(np.mean(alt > threshold))))
-    return points
+    threshold = float(np.quantile(stats(np.zeros(p), 0), 1.0 - alpha))
+    return [
+        PowerPoint(multiplier=c, power=float(np.mean(stats(c * spec.b, (1 + i) * B) > threshold)))
+        for i, c in enumerate(multipliers)
+    ]
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,10 @@ Everything here is a pure function of its inputs. Covariances use the
 centered 1/(n-1) estimator throughout; scale factors cancel in the
 autocorrelation Rayleigh quotients downstream, so the choice only affects
 reported magnitudes, never directions.
+
+`covariance_stack`, `sym_eig` and `inverse_sqrt_stack` also take stacks of
+panels or matrices on leading axes, for the batched MAF kernel, and
+`spd_singular` is the one rule every singularity check applies.
 """
 
 from __future__ import annotations
@@ -37,13 +41,21 @@ def sample_covariance(panel) -> np.ndarray:
         If the panel has fewer than 2 rows.
     """
     panel = as_panel(panel)
-    x = panel.values
-    n = x.shape[0]
-    if n < 2:
-        raise InsufficientDataError(f"covariance needs at least 2 rows, got {n}")
-    centered = x - x.mean(axis=0)
-    cov = centered.T @ centered / (n - 1)
-    return 0.5 * (cov + cov.T)
+    if panel.n < 2:
+        raise InsufficientDataError(f"covariance needs at least 2 rows, got {panel.n}")
+    return covariance_stack(panel.values)
+
+
+def covariance_stack(x: np.ndarray) -> np.ndarray:
+    """Centered 1/(n-1) covariance of every (n, p) panel of an (..., n, p) stack.
+
+    The caller guarantees n >= 2 and finite values; the result is exactly
+    symmetric, shape (..., p, p).
+    """
+    n = x.shape[-2]
+    centered = x - x.mean(axis=-2, keepdims=True)
+    cov = _swap(centered) @ centered / (n - 1)
+    return 0.5 * (cov + _swap(cov))
 
 
 def lag1_diff_covariance(panel) -> np.ndarray:
@@ -56,22 +68,27 @@ def lag1_diff_covariance(panel) -> np.ndarray:
     return sample_covariance(np.diff(panel.values, axis=0))
 
 
-def _check_symmetric(m: np.ndarray) -> np.ndarray:
+def _swap(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m, -1, -2)
+
+
+def _check_symmetric(m) -> np.ndarray:
+    # Accepts one matrix or a stack of them on the leading axes.
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidInputError("matrix contains non-finite entries")
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > _SYM_ATOL * scale:
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    if np.any(np.abs(m - _swap(m)).max(axis=(-2, -1)) > _SYM_ATOL * scale):
         raise InvalidInputError("matrix is not symmetric within 1e-12")
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + _swap(m))
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     # Deterministic orientation: largest-magnitude component of each column positive.
-    idx = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
+    idx = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
+    signs = np.sign(np.take_along_axis(vectors, idx, axis=-2))
     signs[signs == 0] = 1.0
     return vectors * signs
 
@@ -80,16 +97,56 @@ def sym_eig(m, order: str = "descending") -> EigenPairs:
     """Full eigendecomposition of a symmetric matrix with deterministic signs.
 
     `order` is "ascending" or "descending". Each returned eigenvector is
-    oriented so that its largest-magnitude component is positive.
+    oriented so that its largest-magnitude component is positive. A stack
+    of matrices (..., p, p) is decomposed matrix by matrix.
     """
     if order not in ("ascending", "descending"):
         raise InvalidInputError(f"order must be 'ascending' or 'descending', got {order!r}")
     m = _check_symmetric(m)
     values, vectors = np.linalg.eigh(m)  # ascending
     if order == "descending":
-        values = values[::-1]
-        vectors = vectors[:, ::-1]
+        values = values[..., ::-1]
+        vectors = vectors[..., ::-1]
     return EigenPairs(values=values, vectors=_fix_signs(np.ascontiguousarray(vectors)))
+
+
+def spd_singular(values) -> np.ndarray:
+    """The SPD rule: flag ascending spectra whose min eigenvalue <= SPD_RTOL * max.
+
+    `values` holds ascending eigenvalues on its last axis, for one matrix or
+    a stack; the result is a boolean of the stack's shape. A spectrum with
+    no positive eigenvalue is always flagged.
+    """
+    values = np.asarray(values, dtype=float)
+    low, high = values[..., 0], values[..., -1]
+    return (low <= SPD_RTOL * np.maximum(high, 0.0)) | (high <= 0.0)
+
+
+def require_spd(values, what: str = "matrix") -> None:
+    """Raise SingularMatrixError if any ascending spectrum fails `spd_singular`."""
+    values = np.asarray(values, dtype=float)
+    bad = spd_singular(values)
+    if np.any(bad):
+        spectrum = values[bad][0] if values.ndim > 1 else values
+        raise SingularMatrixError(
+            f"{what} is numerically singular: min eigenvalue {spectrum[0]:.3e} "
+            f"vs max {spectrum[-1]:.3e}"
+        )
+
+
+def inverse_sqrt_stack(m) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric inverse square roots of one matrix or a stack, via eigh.
+
+    Returns (roots, ascending eigenvalues). A matrix that fails the SPD rule
+    (see `spd_singular`) does not raise: its eigenvalues are taken as 1, so
+    its root is the identity up to rounding, and callers decide what to do
+    with it.
+    """
+    m = _check_symmetric(m)
+    values, vectors = np.linalg.eigh(m)
+    safe = np.where(spd_singular(values)[..., None], 1.0, values)
+    root = (vectors / np.sqrt(safe)[..., None, :]) @ _swap(vectors)
+    return 0.5 * (root + _swap(root)), values
 
 
 def inverse_sqrt(m) -> np.ndarray:
@@ -100,24 +157,13 @@ def inverse_sqrt(m) -> np.ndarray:
     SingularMatrixError
         If the smallest eigenvalue is below SPD_RTOL times the largest.
     """
-    m = _check_symmetric(m)
-    values, vectors = np.linalg.eigh(m)
-    if values[0] <= SPD_RTOL * max(values[-1], 0.0) or values[-1] <= 0.0:
-        raise SingularMatrixError(
-            f"matrix is numerically singular: min eigenvalue {values[0]:.3e} "
-            f"vs max {values[-1]:.3e}"
-        )
-    root = (vectors / np.sqrt(values)) @ vectors.T
-    return 0.5 * (root + root.T)
+    root, values = inverse_sqrt_stack(m)
+    require_spd(values)
+    return root
 
 
 def assert_spd(m, what: str = "matrix") -> np.ndarray:
     """Validate symmetric positive definiteness; returns the symmetrized matrix."""
     m = _check_symmetric(m)
-    values = np.linalg.eigvalsh(m)
-    if values[0] <= SPD_RTOL * max(values[-1], 0.0) or values[-1] <= 0.0:
-        raise SingularMatrixError(
-            f"{what} is not positive definite: min eigenvalue {values[0]:.3e} "
-            f"vs max {values[-1]:.3e}"
-        )
+    require_spd(np.linalg.eigvalsh(m), what)
     return m

@@ -8,16 +8,30 @@ smallest differenced-covariance eigenvalue K has the largest lag-1
 autocorrelation r = 1 - K/2 among all linear combinations of the input
 series; successive factors maximize autocorrelation subject to being
 uncorrelated with the earlier ones.
+
+`maf_stack` runs this algorithm over a stack of panels of one shape with
+batched numpy linear algebra (Switzer & Green 1984); `compute_maf` is its
+one-panel case, and the resampling functions in `mafkit.inference` feed it
+chunks of replicate panels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateSeriesError, InsufficientDataError, InvalidInputError
-from .linalg import inverse_sqrt, lag1_diff_covariance, sample_covariance, sym_eig
+from .linalg import (
+    covariance_stack,
+    inverse_sqrt_stack,
+    lag1_diff_covariance,
+    require_spd,
+    sample_covariance,
+    spd_singular,
+    sym_eig,
+)
 from .panel import TimeSeriesPanel, as_panel
 
 # Adjacent eigenvalues closer than this (relative) make factor identity ambiguous.
@@ -67,13 +81,78 @@ class PcaDecomposition:
     standardized: bool
 
 
+class MafStack(NamedTuple):
+    """Leading-k MAF factors of every panel of an (m, n, p) stack.
+
+    coefficients : (m, p, k) weights, columns in ascending eigenvalue order.
+    factors : (m, n, k), panel values @ coefficients.
+    diff_eigenvalues : (m, p) ascending eigenvalues K of the whitened
+        differenced covariance; lag-1 autocorrelation is 1 - K/2.
+    singular : (m,) True where the panel's sample covariance failed the
+        SPD rule (only possible with `allow_singular`); those panels'
+        entries are NaN.
+    """
+
+    coefficients: np.ndarray
+    factors: np.ndarray
+    diff_eigenvalues: np.ndarray
+    singular: np.ndarray
+
+
+def maf_stack(x, k: int | None = None, allow_singular: bool = False) -> MafStack:
+    """MAF decomposition of every panel of an (m, n, p) stack at once.
+
+    Per panel: centered covariance S, whitening by S^{-1/2} (batched
+    eigh), covariance of the differenced whitened rows, and its ascending
+    eigendecomposition (batched eigh, largest-magnitude component of each
+    eigenvector positive); only the leading k factors are formed (all p
+    when k is None). No trend-sign rule is applied.
+
+    Raises
+    ------
+    InvalidInputError
+        If `x` is not a finite 3-D array or k is out of range.
+    InsufficientDataError
+        If n <= p.
+    SingularMatrixError
+        If a panel's sample covariance is numerically singular, unless
+        `allow_singular`, which flags such panels in `singular` instead.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 3:
+        raise InvalidInputError(f"expected an (m, n, p) stack of panels, got shape {x.shape}")
+    _, n, p = x.shape
+    if p < 1:
+        raise InvalidInputError("panel must have at least one series")
+    if n <= p:
+        raise InsufficientDataError(
+            f"MAF needs more time steps than series, got n={n}, p={p}"
+        )
+    k = p if k is None else k
+    if not 1 <= k <= p:
+        raise InvalidInputError(f"k must be in [1, {p}], got {k}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError("panel contains non-finite values")
+
+    whitener, cov_values = inverse_sqrt_stack(covariance_stack(x))
+    singular = spd_singular(cov_values)
+    if not allow_singular:
+        require_spd(cov_values, "sample covariance")
+    diff_eig = sym_eig(covariance_stack(np.diff(x @ whitener, axis=1)), order="ascending")
+    coefficients = whitener @ diff_eig.vectors[..., :k]
+    factors = x @ coefficients
+    diff_values = diff_eig.values
+    if np.any(singular):
+        coefficients[singular] = factors[singular] = diff_values[singular] = np.nan
+    return MafStack(coefficients, factors, diff_values, singular)
+
+
 def compute_maf(panel) -> MafDecomposition:
     """Compute all p MAF factors and coefficients of a panel.
 
-    Steps: estimate the sample covariance S, whiten the panel by S^{-1/2},
-    difference the whitened rows, eigendecompose the differenced covariance
-    ascending, back-transform the eigenvectors, and orient every factor to
-    trend upward (positive covariance with the row index).
+    The one-panel case of `maf_stack`, plus the trend-sign rule (every
+    factor trends upward, i.e. has positive covariance with the row index)
+    and the detection of numerically tied factors.
 
     Raises
     ------
@@ -83,31 +162,19 @@ def compute_maf(panel) -> MafDecomposition:
         If the sample covariance is numerically singular.
     """
     panel = as_panel(panel)
-    n, p = panel.n, panel.p
-    if p < 1:
-        raise InvalidInputError("panel must have at least one series")
-    if n <= p:
-        raise InsufficientDataError(
-            f"MAF needs more time steps than series, got n={n}, p={p}"
-        )
-    cov = sample_covariance(panel)
-    whitener = inverse_sqrt(cov)  # raises SingularMatrixError on collinear panels
-    whitened = panel.values @ whitener
-    diff_eig = sym_eig(lag1_diff_covariance(whitened), order="ascending")
-
-    coefficients = whitener @ diff_eig.vectors
-    factors = panel.values @ coefficients
+    stack = maf_stack(panel.values[None])
+    coefficients, factors = stack.coefficients[0], stack.factors[0]
 
     # Trend-sign rule: factor j trends upward. Using the covariance with the
     # centered row index instead of the raw weighted sum keeps the rule
     # insensitive to the factor mean.
-    t_centered = np.arange(n) - (n - 1) / 2.0
+    t_centered = np.arange(panel.n) - (panel.n - 1) / 2.0
     signs = np.sign(t_centered @ factors)
     signs[signs == 0] = 1.0
     coefficients = coefficients * signs
     factors = factors * signs
 
-    k = diff_eig.values
+    k = stack.diff_eigenvalues[0]
     gaps = np.abs(np.diff(k))
     scale = np.maximum(np.maximum(np.abs(k[:-1]), np.abs(k[1:])), 1e-300)
     degenerate = tuple(
@@ -166,11 +233,7 @@ def factor_autocorrelation(series) -> float:
         raise InsufficientDataError(f"autocorrelation needs at least 3 points, got {y.size}")
     if not np.all(np.isfinite(y)):
         raise InvalidInputError("series contains non-finite values")
-    var = y.var(ddof=1)
-    if var <= 0.0:
-        raise DegenerateSeriesError("series is constant; autocorrelation undefined")
-    dvar = np.diff(y).var(ddof=1)
-    return float(np.clip(1.0 - dvar / (2.0 * var), -1.0, 1.0))
+    return _variance_ratio_autocorrelation(y.var(ddof=1), np.diff(y).var(ddof=1), "series")
 
 
 def combination_autocorrelation(panel, weights) -> float:
@@ -186,19 +249,28 @@ def combination_autocorrelation(panel, weights) -> float:
         raise InvalidInputError(f"expected weight vector of length {panel.p}, got {w.shape}")
     if not np.any(w != 0.0):
         raise InvalidInputError("weights must be nonzero")
-    total = float(w @ sample_covariance(panel) @ w)
-    if total <= 0.0:
-        raise DegenerateSeriesError("combined series is constant; autocorrelation undefined")
-    diff = float(w @ lag1_diff_covariance(panel) @ w)
-    return float(np.clip(1.0 - diff / (2.0 * total), -1.0, 1.0))
+    return _variance_ratio_autocorrelation(
+        float(w @ sample_covariance(panel) @ w),
+        float(w @ lag1_diff_covariance(panel) @ w),
+        "combined series",
+    )
+
+
+def _variance_ratio_autocorrelation(var: float, dvar: float, what: str) -> float:
+    # 1 - Var(diff y) / (2 Var(y)), clamped to [-1, 1]: the quantity MAF maximizes.
+    if var <= 0.0:
+        raise DegenerateSeriesError(f"{what} is constant; autocorrelation undefined")
+    return float(np.clip(1.0 - dvar / (2.0 * var), -1.0, 1.0))
 
 
 __all__ = [
     "MafDecomposition",
+    "MafStack",
     "PcaDecomposition",
     "TimeSeriesPanel",
     "combination_autocorrelation",
     "compute_maf",
     "compute_pca",
     "factor_autocorrelation",
+    "maf_stack",
 ]

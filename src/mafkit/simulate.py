@@ -98,6 +98,18 @@ def _resolve_noise_cov(noise, p: int) -> np.ndarray:
     return assert_spd(np.asarray(noise, dtype=float), "noise covariance")
 
 
+def noise_cholesky(noise, p: int) -> np.ndarray:
+    """Lower Cholesky factor of a validated p x p noise covariance.
+
+    `noise` is a full covariance matrix or a (rho, sigma) pair for the
+    equicorrelated form, as in `gen_sn_panel`.
+    """
+    cov = _resolve_noise_cov(noise, p)
+    if cov.shape[0] != p:
+        raise InvalidInputError("noise covariance does not match length of b")
+    return np.linalg.cholesky(cov)
+
+
 def gen_sn_panel(f, b, noise, seed, ar_phi: float = 0.0) -> TimeSeriesPanel:
     """Simulate a signal-plus-noise panel: row t is sqrt(n) * f(t) * b + noise(t).
 
@@ -115,6 +127,21 @@ def gen_sn_panel(f, b, noise, seed, ar_phi: float = 0.0) -> TimeSeriesPanel:
     ar_phi : optional AR(1) coefficient for the noise rows; the lag-1 noise
         autocovariance is then ar_phi times the marginal covariance.
     """
+    b = np.asarray(b, dtype=float).ravel()
+    chol = noise_cholesky(noise, b.size)
+    values = gen_sn_stack(f, b, chol, [seed], ar_phi=ar_phi)[0]
+    return TimeSeriesPanel(values=values, labels=tuple(f"z{j + 1}" for j in range(b.size)))
+
+
+def gen_sn_stack(f, b, noise_chol, seeds, ar_phi: float = 0.0) -> np.ndarray:
+    """Simulate one signal-plus-noise panel per seed, as an (m, n, p) stack.
+
+    Panel i equals `gen_sn_panel(f, b, noise, seeds[i], ar_phi).values`
+    when `noise_chol` is `noise_cholesky(noise, p)`: each panel draws its
+    shocks from its own generator, and the AR(1) recursion steps through
+    time once for the whole stack. Taking the factor instead of the
+    covariance lets a caller that draws many stacks factor it once.
+    """
     f = np.asarray(f, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     n, p = f.size, b.size
@@ -124,22 +151,16 @@ def gen_sn_panel(f, b, noise, seed, ar_phi: float = 0.0) -> TimeSeriesPanel:
         raise InvalidInputError("signal must be normalized to zero mean and unit 2-norm")
     if not (-1.0 < ar_phi < 1.0):
         raise InvalidInputError(f"ar_phi must be in (-1, 1), got {ar_phi}")
-    cov = _resolve_noise_cov(noise, p)
-    if cov.shape[0] != p:
+    noise_chol = np.asarray(noise_chol, dtype=float)
+    if noise_chol.shape != (p, p):
         raise InvalidInputError("noise covariance does not match length of b")
-    chol = np.linalg.cholesky(cov)
-    rng = np.random.default_rng(seed)
-    shocks = rng.standard_normal((n, p)) @ chol.T
+    draws = np.stack([np.random.default_rng(s).standard_normal((n, p)) for s in seeds])
+    noise_rows = draws @ noise_chol.T
     if ar_phi != 0.0:
-        noise_rows = np.empty_like(shocks)
-        noise_rows[0] = shocks[0]
         scale = np.sqrt(1.0 - ar_phi ** 2)
         for t in range(1, n):
-            noise_rows[t] = ar_phi * noise_rows[t - 1] + scale * shocks[t]
-    else:
-        noise_rows = shocks
-    values = np.outer(np.sqrt(n) * f, b) + noise_rows
-    return TimeSeriesPanel(values=values, labels=tuple(f"z{j + 1}" for j in range(p)))
+            noise_rows[:, t] = ar_phi * noise_rows[:, t - 1] + scale * noise_rows[:, t]
+    return np.outer(np.sqrt(n) * f, b) + noise_rows
 
 
 def correlation_with_signal(factor, f) -> float:

@@ -3,7 +3,8 @@
 Rows are treated as equally spaced, so the smoother is a fixed linear map
 y -> L y for a given (n, config). The hat matrix L is built once and cached;
 its trace is the smoother's degrees of freedom, needed for residual
-inflation in the resampling test.
+inflation in the resampling test. `snr_columns` evaluates the SNR of many
+columns with one product by L; `empirical_snr` is its one-column case.
 """
 
 from __future__ import annotations
@@ -106,19 +107,40 @@ def smooth_columns(values: np.ndarray, cfg: SmootherConfig) -> tuple[np.ndarray,
     return fitted, values - fitted, df
 
 
-def empirical_snr(series, cfg: SmootherConfig = SmootherConfig()) -> float:
-    """SD(smooth) / SD(residual) for one series, both population-normalized.
+def snr_columns(values, cfg: SmootherConfig = SmootherConfig()) -> np.ndarray:
+    """Empirical SNR of every column of an (n, c) array, with one hat GEMM.
+
+    Column j's SNR is SD(L y_j) / SD(y_j - L y_j), both population
+    normalized; the resampling functions in `mafkit.inference` pass the
+    factors of a whole chunk of replicates as columns.
 
     Raises
     ------
     DegenerateResidualError
-        If the residual standard deviation is numerically zero (the series
-        is itself smooth at this span).
+        If any column's residual standard deviation is numerically zero
+        (the series is itself smooth at this span).
     """
-    result = loess_smooth(series, cfg)
-    sd_resid = float(np.std(result.residuals))
-    if sd_resid <= 1e-12:
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise InvalidInputError(f"expected an (n, c) array of series, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise InvalidInputError("series contains non-finite values")
+    hat, _ = hat_matrix(values.shape[0], cfg)
+    fitted = hat @ values
+    sd_resid = (values - fitted).std(axis=0)
+    if np.any(sd_resid <= 1e-12):
         raise DegenerateResidualError(
             "residual standard deviation is numerically zero; empirical SNR undefined"
         )
-    return float(np.std(result.fitted)) / sd_resid
+    return fitted.std(axis=0) / sd_resid
+
+
+def empirical_snr(series, cfg: SmootherConfig = SmootherConfig()) -> float:
+    """SD(smooth) / SD(residual) for one series: the one-column `snr_columns`.
+
+    Raises
+    ------
+    DegenerateResidualError
+        If the residual standard deviation is numerically zero.
+    """
+    return float(snr_columns(np.asarray(series, dtype=float).reshape(-1, 1), cfg)[0])

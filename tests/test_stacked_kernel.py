@@ -1,0 +1,349 @@
+"""The chunked, stacked MAF + SNR path against one-replicate-at-a-time loops.
+
+Each reference loop below is the per-replicate algorithm written out from
+`compute_maf` and `empirical_snr`, drawing replicate b from
+`default_rng(SeedSequence(seed).spawn(B)[b])` with the same calls in the
+same order. The resampling functions in `mafkit.inference` must reproduce
+it to 1e-12 for every chunk size, including one replicate per chunk,
+chunks that do not divide B, and all of B in one chunk.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mafkit import (
+    InvalidInputError,
+    SignalSpec,
+    SingularMatrixError,
+    SmootherConfig,
+    SnModelSpec,
+    compute_maf,
+    empirical_snr,
+    gen_signal,
+    gen_sn_panel,
+    power_curve,
+    resample_maf,
+    select_num_factors,
+    signal_presence_test,
+)
+from mafkit import inference
+from mafkit.cli import ingest_csv
+from mafkit.datasets import example_panel_path
+from mafkit.inference import _resample_indices
+from mafkit.maf import maf_stack
+from mafkit.panel import as_panel
+from mafkit.simulate import gen_sn_stack, noise_cholesky
+from mafkit.smoothing import snr_columns
+
+TOL = 1e-12
+
+# 1 replicate per chunk; 7 at 150 x 4 (9 at 150 x 3), which divides none of
+# the B used here; the default (26 at 150 x 4); everything in one chunk.
+CHUNK_BYTES = [1, 8 * 150 * 4 * 7, inference.CHUNK_BYTES, 10**9]
+
+
+@pytest.fixture(params=CHUNK_BYTES, ids=["chunk1", "chunk7", "default", "one-chunk"])
+def chunk_bytes(request, monkeypatch):
+    monkeypatch.setattr(inference, "CHUNK_BYTES", request.param)
+    return request.param
+
+
+@pytest.fixture(scope="module")
+def example():
+    return ingest_csv(example_panel_path())
+
+
+def spawn(seed, count):
+    return np.random.SeedSequence(seed).spawn(count)
+
+
+def loop_presence(panel, B, cfg=SmootherConfig(), mode="permutation", block_len=1,
+                  k=1, seed=0):
+    """Null SNR draws, (k, B), one replicate at a time."""
+    panel = as_panel(panel)
+    n = panel.n
+    _, residuals, df = inference.smooth_columns(panel.values, cfg)
+    inflated = residuals * np.sqrt(n / (n - df))
+    null = np.empty((k, B))
+    for b, child in enumerate(spawn(seed, B)):
+        rng = np.random.default_rng(child)
+        if mode == "permutation":
+            idx = rng.permutation(n)
+        else:
+            idx = _resample_indices(rng, n, block_len)
+        rep = compute_maf(inflated[idx])
+        for j in range(k):
+            null[j, b] = empirical_snr(rep.factors[:, j], cfg)
+    return null
+
+
+def loop_draw(f, b, chol, child, ar_phi):
+    """One signal-plus-noise panel, with the AR(1) recursion row by row."""
+    n, p = f.size, b.size
+    shocks = np.random.default_rng(child).standard_normal((n, p)) @ chol.T
+    noise = shocks.copy()
+    for t in range(1, n):
+        noise[t] = ar_phi * noise[t - 1] + np.sqrt(1.0 - ar_phi ** 2) * shocks[t]
+    return np.outer(np.sqrt(n) * f, b) + noise
+
+
+def loop_power(spec, f, multipliers, B, alpha=0.05, seed=0, cfg=SmootherConfig(),
+               statistic="snr"):
+    chol = np.linalg.cholesky(spec.noise_cov)
+    children = spawn(seed, (1 + len(multipliers)) * B)
+
+    def stat(values):
+        decomp = compute_maf(values)
+        if statistic == "snr":
+            return empirical_snr(decomp.factors[:, 0], cfg)
+        return decomp.autocorrelations[0]
+
+    def stats(b, offset):
+        return np.array([stat(loop_draw(f, b, chol, children[offset + i], spec.k_eps))
+                         for i in range(B)])
+
+    threshold = np.quantile(stats(np.zeros(spec.p), 0), 1.0 - alpha)
+    return [float(np.mean(stats(c * spec.b, (1 + i) * B) > threshold))
+            for i, c in enumerate(multipliers)]
+
+
+def loop_resample(panel, B, block_len=1, cfg=SmootherConfig(), n_factors=1, seed=0):
+    """(replicate factors, replicate coefficients, retries) as `resample_maf` defines them."""
+    panel = as_panel(panel)
+    n, p = panel.n, panel.p
+    orig = compute_maf(panel).factors[:, :n_factors]
+    orig_centered = orig - orig.mean(axis=0)
+    fitted, residuals, _ = inference.smooth_columns(panel.values, cfg)
+    rep_factors = np.empty((n_factors, B, n))
+    rep_coefs = np.empty((n_factors, B, p))
+    retries = 0
+    for b, child in enumerate(spawn(seed, B)):
+        rng = np.random.default_rng(child)
+        while True:
+            try:
+                rep = compute_maf(fitted + residuals[_resample_indices(rng, n, block_len)])
+                break
+            except SingularMatrixError:
+                retries += 1
+        factors = rep.factors[:, :n_factors]
+        coefs = rep.coefficients[:, :n_factors]
+        centered = factors - factors.mean(axis=0)
+        flips = np.where(np.einsum("tj,tj->j", centered, orig_centered) < 0, -1.0, 1.0)
+        rep_factors[:, b] = (factors * flips).T
+        rep_coefs[:, b] = (coefs * flips / np.linalg.norm(coefs, axis=0)).T
+    return rep_factors, rep_coefs, retries
+
+
+def sparse_panel(n=30, rows=(3, 11, 20), seed=0):
+    """Noise plus a column that is nonzero only at `rows`: a row resample that
+    misses all of them has a constant column and a singular covariance."""
+    rng = np.random.default_rng(seed)
+    spike = np.zeros(n)
+    spike[list(rows)] = 1.0
+    return np.column_stack([rng.standard_normal(n), spike])
+
+
+@pytest.fixture
+def unsmoothed(monkeypatch):
+    # With a zero smooth every replicate (of the library and of the loops
+    # above) is a plain row resample of the panel, so a replicate's
+    # covariance can be singular while its neighbours' are not.
+    def no_smoothing(values, cfg):
+        values = np.asarray(values, dtype=float)
+        return np.zeros_like(values), values.copy(), 0.0
+
+    monkeypatch.setattr(inference, "smooth_columns", no_smoothing)
+
+
+class TestKernel:
+    def test_stack_matches_compute_maf_per_panel(self, rng):
+        x = rng.standard_normal((5, 60, 3)).cumsum(axis=1) + rng.standard_normal((5, 60, 3))
+        stack = maf_stack(x, 2)
+        assert stack.factors.shape == (5, 60, 2) and stack.coefficients.shape == (5, 3, 2)
+        assert not stack.singular.any()
+        for i in range(5):
+            one = compute_maf(x[i])
+            # compute_maf only adds the trend-sign rule on top
+            signs = np.sign(np.sum(one.coefficients[:, :2] * stack.coefficients[i], axis=0))
+            np.testing.assert_allclose(stack.coefficients[i] * signs,
+                                       one.coefficients[:, :2], atol=TOL)
+            np.testing.assert_allclose(stack.factors[i] * signs, one.factors[:, :2], atol=TOL)
+            np.testing.assert_allclose(stack.diff_eigenvalues[i], one.diff_eigenvalues, atol=TOL)
+
+    def test_singular_panel_flagged_or_raised(self, rng):
+        x = rng.standard_normal((4, 40, 2))
+        x[2, :, 1] = 3.0 * x[2, :, 0]
+        with pytest.raises(SingularMatrixError, match="eigenvalue"):
+            maf_stack(x)
+        stack = maf_stack(x, allow_singular=True)
+        np.testing.assert_array_equal(stack.singular, [False, False, True, False])
+        assert np.isnan(stack.factors[2]).all()
+        np.testing.assert_allclose(stack.factors[3], maf_stack(x[3:]).factors[0], atol=TOL)
+
+    def test_rejects_non_finite_and_bad_shapes(self, rng):
+        x = rng.standard_normal((3, 20, 2))
+        x[1, 5, 0] = np.nan
+        with pytest.raises(InvalidInputError):
+            maf_stack(x)
+        with pytest.raises(InvalidInputError):
+            maf_stack(np.zeros((20, 2)))
+        with pytest.raises(InvalidInputError):
+            maf_stack(rng.standard_normal((2, 20, 2)), k=3)
+
+    def test_snr_columns_matches_empirical_snr(self, rng):
+        y = rng.standard_normal((120, 5)).cumsum(axis=0) + rng.standard_normal((120, 5))
+        cfg = SmootherConfig(span_fraction=0.3)
+        expected = [empirical_snr(y[:, j], cfg) for j in range(5)]
+        np.testing.assert_allclose(snr_columns(y, cfg), expected, rtol=TOL)
+
+    @pytest.mark.parametrize("ar_phi", [0.0, 0.6])
+    def test_gen_sn_stack_matches_panel_draws(self, ar_phi):
+        f = gen_signal(SignalSpec(kind="sinusoid-mixture", n=90, seed=3))
+        b = np.array([0.7, 0.2, -0.1])
+        seeds = spawn(4, 5)
+        stack = gen_sn_stack(f, b, noise_cholesky((0.4, 1.5), 3), seeds, ar_phi=ar_phi)
+        chol = np.linalg.cholesky(SnModelSpec.equicorrelated(b, 1.5, 0.4).noise_cov)
+        for i, seed in enumerate(seeds):
+            np.testing.assert_allclose(stack[i], loop_draw(f, b, chol, seed, ar_phi), atol=TOL)
+            np.testing.assert_array_equal(
+                stack[i], gen_sn_panel(f, b, (0.4, 1.5), seed, ar_phi=ar_phi).values
+            )
+
+
+class TestPresence:
+    def test_permutation_matches_loop(self, example, chunk_bytes):
+        report = signal_presence_test(example, B=99, n_factors_tested=2, seed=11)
+        null = loop_presence(example, B=99, k=2, seed=11)
+        np.testing.assert_allclose(report.null_draws, null, rtol=TOL, atol=TOL)
+        observed = [empirical_snr(compute_maf(example).factors[:, j]) for j in range(2)]
+        np.testing.assert_allclose(report.observed, observed, rtol=TOL)
+        np.testing.assert_array_equal(
+            report.p_value, (null >= report.observed[:, None]).mean(axis=1)
+        )
+
+    def test_block_bootstrap_matches_loop(self, example, chunk_bytes):
+        cfg = SmootherConfig(span_fraction=0.3)
+        report = signal_presence_test(example, B=101, cfg=cfg, block_len=6,
+                                      n_factors_tested=3, seed=12)
+        assert report.mode == "bootstrap"
+        null = loop_presence(example, B=101, cfg=cfg, mode="bootstrap", block_len=6,
+                             k=3, seed=12)
+        np.testing.assert_allclose(report.null_draws, null, rtol=TOL, atol=TOL)
+
+    def test_below_one_default_chunk(self, rng):
+        # 40 x 3 panels: one default chunk holds 133 replicates, more than B
+        panel = rng.standard_normal((40, 3)).cumsum(axis=0) + rng.standard_normal((40, 3))
+        assert inference.CHUNK_BYTES // (8 * 40 * 3) > 99
+        report = signal_presence_test(panel, B=99, n_factors_tested=3, seed=2)
+        null = loop_presence(panel, B=99, k=3, seed=2)
+        np.testing.assert_allclose(report.null_draws, null, rtol=TOL, atol=TOL)
+
+    def test_select_test_method_matches_loop(self, example, chunk_bytes):
+        result = select_num_factors(example, method="test", B=99, seed=13)
+        null = loop_presence(example, B=99, k=4, seed=13)
+        observed = np.array(
+            [empirical_snr(compute_maf(example).factors[:, j]) for j in range(4)]
+        )
+        p_values = (null >= observed[:, None]).mean(axis=1)
+        np.testing.assert_array_equal(result.diagnostics["p_values"], p_values)
+        k = 0
+        while k < 4 and p_values[k] < 0.05:
+            k += 1
+        assert result.k == k
+
+    def test_singular_replicate_raises(self, unsmoothed, chunk_bytes):
+        panel = sparse_panel()
+        # replicate 0 is fine; the loop itself fails at a later replicate
+        draws = [_resample_indices(np.random.default_rng(c), 30, 1) for c in spawn(3, 99)]
+        misses = [not np.isin([3, 11, 20], idx).any() for idx in draws]
+        assert not misses[0] and any(misses)
+        with pytest.raises(SingularMatrixError):
+            loop_presence(panel, B=99, mode="bootstrap", seed=3)
+        with pytest.raises(SingularMatrixError):
+            signal_presence_test(panel, B=99, mode="bootstrap", seed=3)
+
+
+class TestPower:
+    @pytest.mark.parametrize("statistic", ["snr", "autocorrelation"])
+    def test_matches_loop(self, statistic, chunk_bytes):
+        spec = SnModelSpec.equicorrelated(b=[0.5, 0.4, 0.3], sigma=1.0, rho=0.5)
+        f = gen_signal(SignalSpec(kind="sinusoid-mixture", n=150, seed=7))
+        multipliers = [0.0, 0.3, 0.6]
+        points = power_curve(spec, f, multipliers, B=40, seed=21, statistic=statistic)
+        expected = loop_power(spec, f, multipliers, B=40, seed=21, statistic=statistic)
+        assert [pt.multiplier for pt in points] == multipliers
+        np.testing.assert_allclose([pt.power for pt in points], expected, atol=TOL)
+
+    def test_ar_noise_matches_loop(self, chunk_bytes):
+        spec = SnModelSpec.equicorrelated(b=[0.5, 0.4, 0.3], sigma=1.0, rho=0.2, k_eps=0.4)
+        f = gen_signal(SignalSpec(kind="sinusoid-mixture", n=80, seed=2))
+        points = power_curve(spec, f, [0.5], B=30, seed=22)
+        expected = loop_power(spec, f, [0.5], B=30, seed=22)
+        np.testing.assert_allclose([pt.power for pt in points], expected, atol=TOL)
+
+    def test_singular_replicate_raises(self, monkeypatch, chunk_bytes):
+        spec = SnModelSpec.equicorrelated(b=[0.5, 0.4, 0.3], sigma=1.0, rho=0.5)
+        f = gen_signal(SignalSpec(kind="sinusoid-mixture", n=150, seed=7))
+        bad_seed = spawn(23, 2 * 20)[13]
+        draw = inference.gen_sn_stack
+
+        def collinear_13(f, b, chol, seeds, ar_phi=0.0):
+            panels = draw(f, b, chol, seeds, ar_phi=ar_phi)
+            for i, seed in enumerate(seeds):
+                if seed.spawn_key == bad_seed.spawn_key:
+                    panels[i, :, 1] = 2.0 * panels[i, :, 0]
+            return panels
+
+        monkeypatch.setattr(inference, "gen_sn_stack", collinear_13)
+        with pytest.raises(SingularMatrixError):
+            power_curve(spec, f, [1.0], B=20, seed=23)
+
+
+class TestResample:
+    def test_bands_and_coefficients_match_loop(self, example, chunk_bytes):
+        env = resample_maf(example, B=45, block_len=5, n_factors=2, seed=31, alpha=0.1)
+        factors, coefs, retries = loop_resample(example, B=45, block_len=5, n_factors=2,
+                                                seed=31)
+        assert env.retries == retries == 0
+        np.testing.assert_allclose(env.replicate_factors, factors, atol=TOL)
+        np.testing.assert_allclose(env.replicate_coefficients, coefs, atol=TOL)
+        bands = np.stack([np.quantile(factors, 0.05, axis=1),
+                          np.quantile(factors, 0.95, axis=1)], axis=-1)
+        np.testing.assert_allclose(env.pointwise_bands, bands, atol=TOL)
+
+    def test_below_one_chunk(self, example):
+        env = resample_maf(example, B=10, n_factors=4, seed=32)
+        factors, coefs, _ = loop_resample(example, B=10, n_factors=4, seed=32)
+        np.testing.assert_allclose(env.replicate_factors, factors, atol=TOL)
+        np.testing.assert_allclose(env.replicate_coefficients, coefs, atol=TOL)
+
+    def test_singular_replicates_retried_from_own_stream(self, unsmoothed, chunk_bytes):
+        panel = sparse_panel()
+        B, seed = 60, 7  # first draws of replicates 13, 31 and 42 are singular
+        env = resample_maf(panel, B=B, n_factors=2, seed=seed)
+        factors, coefs, retries = loop_resample(panel, B=B, n_factors=2,
+                                                seed=seed)
+        assert 3 <= env.retries == retries <= math.ceil(0.1 * B)
+        np.testing.assert_allclose(env.replicate_factors, factors, atol=TOL)
+        np.testing.assert_allclose(env.replicate_coefficients, coefs, atol=TOL)
+
+    def test_retry_budget_still_enforced(self, unsmoothed):
+        # one spike row: ~36% of row resamples miss it, far above the 10% budget
+        panel = sparse_panel(rows=(7,))
+        with pytest.raises(SingularMatrixError, match="10%"):
+            resample_maf(panel, B=40, seed=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=400).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=n),
+                        st.integers(min_value=0, max_value=2**32 - 1))))
+def test_resample_indices_in_range(args):
+    n, block_len, seed = args
+    idx = _resample_indices(np.random.default_rng(seed), n, block_len)
+    assert idx.shape == (n,)
+    assert idx.min() >= 0 and idx.max() < n
