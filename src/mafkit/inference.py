@@ -5,17 +5,18 @@ All resampling draws come from per-replicate RNG streams spawned
 deterministically from (seed, replicate index), so results are bit-identical
 across runs and independent of any evaluation order.
 
-Replicates run in chunks: the replicate panels of one chunk (about
-CHUNK_BYTES of values) are drawn one by one, each from its own stream with
-the same calls in the same order as a one-at-a-time loop, then stacked and
-decomposed together by `maf.maf_stack`, and their factor SNRs come from one
-`smoothing.snr_columns` call. Chunking keeps memory flat in B.
+Every resampling function runs its replicates through one driver,
+`_replicates`: replicate panels are drawn one by one, each from its own
+stream, then decomposed together by `maf.maf_stack` in chunks of about
+CHUNK_BYTES of values, which keeps memory flat in B. A singular replicate
+is redrawn from its own stream; more than 10% of B redraws is an error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -47,11 +48,36 @@ __all__ = [
 CHUNK_BYTES = 128_000
 
 
-def _chunks(B: int, n: int, p: int):
-    """(start, stop) replicate ranges of at most CHUNK_BYTES of (n, p) panels."""
+def _replicates(children, n: int, p: int, k: int, draw):
+    """Decompose one (n, p) panel per SeedSequence in `children`, by chunks.
+
+    `draw(rngs)` stacks one panel per generator; replicate b draws from
+    `default_rng(children[b])`, and each chunk of at most CHUNK_BYTES of
+    values goes through one `maf_stack` call. Singular replicates are
+    redrawn from their own generators; more than 10% of B redraws in all
+    raises SingularMatrixError. Yields (start, stop, MafStack, redraws so far).
+    """
+    B = len(children)
     size = max(1, CHUNK_BYTES // (8 * n * p))
+    budget = max(1, math.ceil(0.1 * B))
+    redraws = 0
     for start in range(0, B, size):
-        yield start, min(start + size, B)
+        stop = min(start + size, B)
+        rngs = [np.random.default_rng(child) for child in children[start:stop]]
+        stack = maf_stack(draw(rngs), k, allow_singular=True)
+        singular = np.flatnonzero(stack.singular)
+        while singular.size:
+            redraws += singular.size
+            if redraws > budget:
+                raise SingularMatrixError(
+                    f"singular replicates needed more than {budget} redraws, the "
+                    f"budget of 10% of B={B}; panel too close to singular"
+                )
+            rep = maf_stack(draw([rngs[i] for i in singular]), k, allow_singular=True)
+            for field_values, redrawn in zip(stack, rep):
+                field_values[singular] = redrawn
+            singular = singular[rep.singular]
+        yield start, stop, stack, redraws
 
 
 def _factor_snrs(factors: np.ndarray, cfg: SmootherConfig) -> np.ndarray:
@@ -106,8 +132,8 @@ def resample_maf(panel, B: int, block_len: int = 1,
     series (in circular blocks when block_len > 1) and added back onto the
     smooths; MAF is recomputed on every rebuilt panel. Replicate factors are
     sign-aligned to the original factors and replicate coefficient columns
-    are unit-normalized. A replicate whose covariance degenerates is retried
-    with a fresh draw; more than 10% retried replicates is an error.
+    are unit-normalized. A replicate whose covariance degenerates is redrawn
+    from its own stream (see `_replicates`); `retries` counts the redraws.
     """
     panel = as_panel(panel)
     n, p = panel.n, panel.p
@@ -130,30 +156,13 @@ def resample_maf(panel, B: int, block_len: int = 1,
     rep_factors = np.empty((n_factors, B, n))
     rep_coefs = np.empty((n_factors, B, p))
     children = np.random.SeedSequence(seed).spawn(B)
-    retries = 0
-    retry_budget = max(1, math.ceil(0.1 * B))
 
-    def rebuild(rng):
-        return fitted + residuals[_resample_indices(rng, n, block_len)]
+    def draw(rngs):
+        return np.stack([fitted + residuals[_resample_indices(rng, n, block_len)]
+                         for rng in rngs])
 
-    for start, stop in _chunks(B, n, p):
-        rngs = [np.random.default_rng(child) for child in children[start:stop]]
-        reps = maf_stack(np.stack([rebuild(rng) for rng in rngs]), n_factors,
-                         allow_singular=True)
+    for start, stop, reps, retries in _replicates(children, n, p, n_factors, draw):
         factors, coefs = reps.factors, reps.coefficients
-        for i in np.flatnonzero(reps.singular):
-            # redraw from the replicate's own stream until its covariance is SPD
-            while True:
-                retries += 1
-                if retries > retry_budget:
-                    raise SingularMatrixError(
-                        f"more than 10% of replicates ({retries} of {B}) had a "
-                        f"degenerate covariance; panel too close to singular"
-                    )
-                rep = maf_stack(rebuild(rngs[i])[None], n_factors, allow_singular=True)
-                if not rep.singular[0]:
-                    break
-            factors[i], coefs[i] = rep.factors[0], rep.coefficients[0]
         # align each replicate factor with the original factor it estimates
         centered = factors - factors.mean(axis=1, keepdims=True)
         flips = np.where(np.einsum("mtj,tj->mj", centered, orig_centered) < 0, -1.0, 1.0)
@@ -217,7 +226,7 @@ def signal_presence_test(panel, B: int, cfg: SmootherConfig = SmootherConfig(),
     `mode` is "permutation" (rows shuffled without replacement; requires
     block_len == 1) or "bootstrap" (with replacement, blockwise when
     block_len > 1). The default picks permutation for block_len == 1 and
-    bootstrap otherwise.
+    bootstrap otherwise. Singular null panels are redrawn (`_replicates`).
     """
     panel = as_panel(panel)
     n, p = panel.n, panel.p
@@ -247,17 +256,15 @@ def signal_presence_test(panel, B: int, cfg: SmootherConfig = SmootherConfig(),
     _, residuals, df = smooth_columns(panel.values, cfg)
     inflated = residuals * np.sqrt(n / (n - df))
 
-    def draw(child):
-        rng = np.random.default_rng(child)
+    def draw(rngs):
         if mode == "permutation":
-            return rng.permutation(n)
-        return _resample_indices(rng, n, block_len)
+            return inflated[np.stack([rng.permutation(n) for rng in rngs])]
+        return inflated[np.stack([_resample_indices(rng, n, block_len) for rng in rngs])]
 
     null_draws = np.empty((k, B))
     children = np.random.SeedSequence(seed).spawn(B)
-    for start, stop in _chunks(B, n, p):
-        idx = np.stack([draw(child) for child in children[start:stop]])
-        null_draws[:, start:stop] = _factor_snrs(maf_stack(inflated[idx], k).factors, cfg)
+    for start, stop, reps, _ in _replicates(children, n, p, k, draw):
+        null_draws[:, start:stop] = _factor_snrs(reps.factors, cfg)
 
     exceed = (null_draws >= observed[:, None]).sum(axis=1)
     if conservative:
@@ -290,9 +297,9 @@ def power_curve(spec, signal, multipliers, B: int, alpha: float = 0.05,
 
     Simulates B pure-noise panels to locate the (1 - alpha) null quantile of
     the statistic, then for each multiplier c simulates B panels with signal
-    strengths c * spec.b and reports the fraction of statistics beyond the
-    null quantile. `statistic` is "snr" (empirical SNR of MAF1) or
-    "autocorrelation" (MAF1's maximized lag-1 autocorrelation).
+    strengths c * spec.b and reports the fraction of statistics beyond it.
+    `statistic` is "snr" (empirical SNR of MAF1) or "autocorrelation" (MAF1's
+    maximized lag-1 autocorrelation). Singular panels are redrawn (`_replicates`).
     """
     f = np.asarray(signal, dtype=float).ravel()
     multipliers = [float(c) for c in multipliers]
@@ -311,14 +318,12 @@ def power_curve(spec, signal, multipliers, B: int, alpha: float = 0.05,
 
     def stats(b, offset: int) -> np.ndarray:
         out = np.empty(B)
-        for start, stop in _chunks(B, n, p):
-            panels = gen_sn_stack(f, b, chol, children[offset + start:offset + stop],
-                                  ar_phi=spec.k_eps)
-            decomp = maf_stack(panels, 1)
+        draw = partial(gen_sn_stack, f, b, chol, ar_phi=spec.k_eps)
+        for start, stop, reps, _ in _replicates(children[offset:offset + B], n, p, 1, draw):
             if statistic == "snr":
-                out[start:stop] = _factor_snrs(decomp.factors, cfg)[0]
+                out[start:stop] = _factor_snrs(reps.factors, cfg)[0]
             else:
-                out[start:stop] = 1.0 - decomp.diff_eigenvalues[:, 0] / 2.0
+                out[start:stop] = 1.0 - reps.diff_eigenvalues[:, 0] / 2.0
         return out
 
     threshold = float(np.quantile(stats(np.zeros(p), 0), 1.0 - alpha))

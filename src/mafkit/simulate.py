@@ -91,20 +91,17 @@ def signal_lag1_coherence(f) -> float:
     return float(f[:-1] @ f[1:]) / denom
 
 
-def _resolve_noise_cov(noise, p: int) -> np.ndarray:
-    if isinstance(noise, tuple):
-        rho, sigma = noise
-        return equicorrelation_noise_cov(sigma, rho, p=p)
-    return assert_spd(np.asarray(noise, dtype=float), "noise covariance")
-
-
 def noise_cholesky(noise, p: int) -> np.ndarray:
     """Lower Cholesky factor of a validated p x p noise covariance.
 
     `noise` is a full covariance matrix or a (rho, sigma) pair for the
     equicorrelated form, as in `gen_sn_panel`.
     """
-    cov = _resolve_noise_cov(noise, p)
+    if isinstance(noise, tuple):
+        rho, sigma = noise
+        cov = equicorrelation_noise_cov(sigma, rho, p=p)
+    else:
+        cov = assert_spd(np.asarray(noise, dtype=float), "noise covariance")
     if cov.shape[0] != p:
         raise InvalidInputError("noise covariance does not match length of b")
     return np.linalg.cholesky(cov)
@@ -136,11 +133,12 @@ def gen_sn_panel(f, b, noise, seed, ar_phi: float = 0.0) -> TimeSeriesPanel:
 def gen_sn_stack(f, b, noise_chol, seeds, ar_phi: float = 0.0) -> np.ndarray:
     """Simulate one signal-plus-noise panel per seed, as an (m, n, p) stack.
 
-    Panel i equals `gen_sn_panel(f, b, noise, seeds[i], ar_phi).values`
-    when `noise_chol` is `noise_cholesky(noise, p)`: each panel draws its
-    shocks from its own generator, and the AR(1) recursion steps through
-    time once for the whole stack. Taking the factor instead of the
-    covariance lets a caller that draws many stacks factor it once.
+    Each seed is an int, a SeedSequence or a Generator, which is drawn from
+    in place. Panel i equals `gen_sn_panel(f, b, noise, seeds[i],
+    ar_phi).values` when `noise_chol` is `noise_cholesky(noise, p)`: each
+    panel draws its shocks from its own generator, and the AR(1) recursion
+    steps through time once for the whole stack. Taking the factor instead
+    of the covariance lets a caller that draws many stacks factor it once.
     """
     f = np.asarray(f, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()

@@ -25,11 +25,10 @@ from .errors import (
 
 @dataclass(frozen=True)
 class SmootherConfig:
-    """Span (fraction of points per window), local polynomial degree, kernel."""
+    """Span (fraction of points per window) and local polynomial degree."""
 
     span_fraction: float = 0.4
     degree: int = 1
-    weight: str = "tricube"
 
     def __post_init__(self):
         if not (0.0 < self.span_fraction <= 1.0):
@@ -38,8 +37,6 @@ class SmootherConfig:
             )
         if self.degree not in (0, 1, 2):
             raise InvalidConfigError(f"degree must be 0, 1 or 2, got {self.degree}")
-        if self.weight != "tricube":
-            raise InvalidConfigError(f"unsupported weight kernel {self.weight!r}")
 
     def window_size(self, n: int) -> int:
         return int(math.ceil(self.span_fraction * n))

@@ -98,8 +98,6 @@ class TestLoessSmooth:
             SmootherConfig(span_fraction=0.0)
         with pytest.raises(InvalidConfigError):
             SmootherConfig(degree=3)
-        with pytest.raises(InvalidConfigError):
-            SmootherConfig(weight="gaussian")
 
 
 class TestEmpiricalSnr:

@@ -3,9 +3,11 @@
 Each reference loop below is the per-replicate algorithm written out from
 `compute_maf` and `empirical_snr`, drawing replicate b from
 `default_rng(SeedSequence(seed).spawn(B)[b])` with the same calls in the
-same order. The resampling functions in `mafkit.inference` must reproduce
-it to 1e-12 for every chunk size, including one replicate per chunk,
-chunks that do not divide B, and all of B in one chunk.
+same order, and redrawing a replicate whose covariance is singular from
+its own generator until it is not. The resampling functions in
+`mafkit.inference` must reproduce it to 1e-12 for every chunk size,
+including one replicate per chunk, chunks that do not divide B, and all of
+B in one chunk.
 """
 
 import math
@@ -39,6 +41,8 @@ from mafkit.panel import as_panel
 from mafkit.simulate import gen_sn_stack, noise_cholesky
 from mafkit.smoothing import snr_columns
 
+from conftest import random_invertible
+
 TOL = 1e-12
 
 # 1 replicate per chunk; 7 at 150 x 4 (9 at 150 x 3), which divides none of
@@ -61,30 +65,44 @@ def spawn(seed, count):
     return np.random.SeedSequence(seed).spawn(count)
 
 
+def redrawn(draw, rng):
+    """compute_maf of draw(rng), drawing again until the covariance is not
+    singular; returns (decomposition, number of redraws)."""
+    redraws = 0
+    while True:
+        try:
+            return compute_maf(draw(rng)), redraws
+        except SingularMatrixError:
+            redraws += 1
+
+
 def loop_presence(panel, B, cfg=SmootherConfig(), mode="permutation", block_len=1,
                   k=1, seed=0):
-    """Null SNR draws, (k, B), one replicate at a time."""
+    """(null SNR draws, (k, B), redraws), one replicate at a time."""
     panel = as_panel(panel)
     n = panel.n
     _, residuals, df = inference.smooth_columns(panel.values, cfg)
     inflated = residuals * np.sqrt(n / (n - df))
-    null = np.empty((k, B))
-    for b, child in enumerate(spawn(seed, B)):
-        rng = np.random.default_rng(child)
+
+    def draw(rng):
         if mode == "permutation":
-            idx = rng.permutation(n)
-        else:
-            idx = _resample_indices(rng, n, block_len)
-        rep = compute_maf(inflated[idx])
+            return inflated[rng.permutation(n)]
+        return inflated[_resample_indices(rng, n, block_len)]
+
+    null = np.empty((k, B))
+    redraws = 0
+    for b, child in enumerate(spawn(seed, B)):
+        rep, extra = redrawn(draw, np.random.default_rng(child))
+        redraws += extra
         for j in range(k):
             null[j, b] = empirical_snr(rep.factors[:, j], cfg)
-    return null
+    return null, redraws
 
 
-def loop_draw(f, b, chol, child, ar_phi):
+def loop_draw(f, b, chol, rng, ar_phi):
     """One signal-plus-noise panel, with the AR(1) recursion row by row."""
     n, p = f.size, b.size
-    shocks = np.random.default_rng(child).standard_normal((n, p)) @ chol.T
+    shocks = np.random.default_rng(rng).standard_normal((n, p)) @ chol.T
     noise = shocks.copy()
     for t in range(1, n):
         noise[t] = ar_phi * noise[t - 1] + np.sqrt(1.0 - ar_phi ** 2) * shocks[t]
@@ -96,15 +114,15 @@ def loop_power(spec, f, multipliers, B, alpha=0.05, seed=0, cfg=SmootherConfig()
     chol = np.linalg.cholesky(spec.noise_cov)
     children = spawn(seed, (1 + len(multipliers)) * B)
 
-    def stat(values):
-        decomp = compute_maf(values)
+    def stat(b, child):
+        decomp, _ = redrawn(lambda rng: loop_draw(f, b, chol, rng, spec.k_eps),
+                            np.random.default_rng(child))
         if statistic == "snr":
             return empirical_snr(decomp.factors[:, 0], cfg)
         return decomp.autocorrelations[0]
 
     def stats(b, offset):
-        return np.array([stat(loop_draw(f, b, chol, children[offset + i], spec.k_eps))
-                         for i in range(B)])
+        return np.array([stat(b, children[offset + i]) for i in range(B)])
 
     threshold = np.quantile(stats(np.zeros(spec.p), 0), 1.0 - alpha)
     return [float(np.mean(stats(c * spec.b, (1 + i) * B) > threshold))
@@ -120,15 +138,14 @@ def loop_resample(panel, B, block_len=1, cfg=SmootherConfig(), n_factors=1, seed
     fitted, residuals, _ = inference.smooth_columns(panel.values, cfg)
     rep_factors = np.empty((n_factors, B, n))
     rep_coefs = np.empty((n_factors, B, p))
+
+    def draw(rng):
+        return fitted + residuals[_resample_indices(rng, n, block_len)]
+
     retries = 0
     for b, child in enumerate(spawn(seed, B)):
-        rng = np.random.default_rng(child)
-        while True:
-            try:
-                rep = compute_maf(fitted + residuals[_resample_indices(rng, n, block_len)])
-                break
-            except SingularMatrixError:
-                retries += 1
+        rep, extra = redrawn(draw, np.random.default_rng(child))
+        retries += extra
         factors = rep.factors[:, :n_factors]
         coefs = rep.coefficients[:, :n_factors]
         centered = factors - factors.mean(axis=0)
@@ -214,10 +231,43 @@ class TestKernel:
             )
 
 
+class TestDriver:
+    def test_redraw_replaces_every_field(self, chunk_bytes):
+        # replicate 5's first panel is collinear, so the chunk must hold the
+        # decomposition of the next panel of its stream in every field
+        children = spawn(41, 12)
+        bad_key = children[5].spawn_key
+        seen = set()
+
+        def draw(rngs):
+            panels = np.stack([rng.standard_normal((150, 4)) for rng in rngs])
+            for i, rng in enumerate(rngs):
+                key = rng.bit_generator.seed_seq.spawn_key
+                if key == bad_key and key not in seen:
+                    seen.add(key)
+                    panels[i, :, 1] = panels[i, :, 0]
+            return panels
+
+        chunks = list(inference._replicates(children, 150, 4, 2, draw))
+        _, stop, _, redraws = chunks[-1]
+        assert stop == 12 and redraws == 1
+        expected = []
+        for b, child in enumerate(children):
+            rng = np.random.default_rng(child)
+            panel = rng.standard_normal((150, 4))
+            if b == 5:
+                panel = rng.standard_normal((150, 4))
+            expected.append(panel)
+        expected = maf_stack(np.stack(expected), 2)
+        for name, values in expected._asdict().items():
+            got = np.concatenate([getattr(stack, name) for _, _, stack, _ in chunks])
+            np.testing.assert_allclose(got, values, rtol=TOL, atol=TOL, err_msg=name)
+
+
 class TestPresence:
     def test_permutation_matches_loop(self, example, chunk_bytes):
         report = signal_presence_test(example, B=99, n_factors_tested=2, seed=11)
-        null = loop_presence(example, B=99, k=2, seed=11)
+        null, _ = loop_presence(example, B=99, k=2, seed=11)
         np.testing.assert_allclose(report.null_draws, null, rtol=TOL, atol=TOL)
         observed = [empirical_snr(compute_maf(example).factors[:, j]) for j in range(2)]
         np.testing.assert_allclose(report.observed, observed, rtol=TOL)
@@ -230,8 +280,8 @@ class TestPresence:
         report = signal_presence_test(example, B=101, cfg=cfg, block_len=6,
                                       n_factors_tested=3, seed=12)
         assert report.mode == "bootstrap"
-        null = loop_presence(example, B=101, cfg=cfg, mode="bootstrap", block_len=6,
-                             k=3, seed=12)
+        null, _ = loop_presence(example, B=101, cfg=cfg, mode="bootstrap", block_len=6,
+                                k=3, seed=12)
         np.testing.assert_allclose(report.null_draws, null, rtol=TOL, atol=TOL)
 
     def test_below_one_default_chunk(self, rng):
@@ -239,12 +289,12 @@ class TestPresence:
         panel = rng.standard_normal((40, 3)).cumsum(axis=0) + rng.standard_normal((40, 3))
         assert inference.CHUNK_BYTES // (8 * 40 * 3) > 99
         report = signal_presence_test(panel, B=99, n_factors_tested=3, seed=2)
-        null = loop_presence(panel, B=99, k=3, seed=2)
+        null, _ = loop_presence(panel, B=99, k=3, seed=2)
         np.testing.assert_allclose(report.null_draws, null, rtol=TOL, atol=TOL)
 
     def test_select_test_method_matches_loop(self, example, chunk_bytes):
         result = select_num_factors(example, method="test", B=99, seed=13)
-        null = loop_presence(example, B=99, k=4, seed=13)
+        null, _ = loop_presence(example, B=99, k=4, seed=13)
         observed = np.array(
             [empirical_snr(compute_maf(example).factors[:, j]) for j in range(4)]
         )
@@ -255,15 +305,22 @@ class TestPresence:
             k += 1
         assert result.k == k
 
-    def test_singular_replicate_raises(self, unsmoothed, chunk_bytes):
+    def test_singular_replicates_redrawn_from_own_stream(self, unsmoothed, chunk_bytes):
         panel = sparse_panel()
-        # replicate 0 is fine; the loop itself fails at a later replicate
+        # replicate 0 is fine; later draws that miss every spike row are redrawn
         draws = [_resample_indices(np.random.default_rng(c), 30, 1) for c in spawn(3, 99)]
         misses = [not np.isin([3, 11, 20], idx).any() for idx in draws]
         assert not misses[0] and any(misses)
-        with pytest.raises(SingularMatrixError):
-            loop_presence(panel, B=99, mode="bootstrap", seed=3)
-        with pytest.raises(SingularMatrixError):
+        report = signal_presence_test(panel, B=99, mode="bootstrap", seed=3)
+        null, redraws = loop_presence(panel, B=99, mode="bootstrap", seed=3)
+        assert redraws == 3  # within the budget of 10
+        np.testing.assert_allclose(report.null_draws, null, rtol=TOL, atol=TOL)
+
+    def test_singular_replicate_raises(self, unsmoothed, chunk_bytes):
+        # once redraws exceed 10% of B: one spike row, which ~36% of row
+        # resamples miss
+        panel = sparse_panel(rows=(7,))
+        with pytest.raises(SingularMatrixError, match="10%"):
             signal_presence_test(panel, B=99, mode="bootstrap", seed=3)
 
 
@@ -286,20 +343,22 @@ class TestPower:
         np.testing.assert_allclose([pt.power for pt in points], expected, atol=TOL)
 
     def test_singular_replicate_raises(self, monkeypatch, chunk_bytes):
+        # null replicate 13 is collinear on every draw, so its redraws use
+        # up the budget of 2 (10% of B=20)
         spec = SnModelSpec.equicorrelated(b=[0.5, 0.4, 0.3], sigma=1.0, rho=0.5)
         f = gen_signal(SignalSpec(kind="sinusoid-mixture", n=150, seed=7))
-        bad_seed = spawn(23, 2 * 20)[13]
+        bad_key = spawn(23, 2 * 20)[13].spawn_key
         draw = inference.gen_sn_stack
 
-        def collinear_13(f, b, chol, seeds, ar_phi=0.0):
-            panels = draw(f, b, chol, seeds, ar_phi=ar_phi)
-            for i, seed in enumerate(seeds):
-                if seed.spawn_key == bad_seed.spawn_key:
+        def collinear_13(f, b, chol, rngs, ar_phi=0.0):
+            panels = draw(f, b, chol, rngs, ar_phi=ar_phi)
+            for i, rng in enumerate(rngs):
+                if rng.bit_generator.seed_seq.spawn_key == bad_key:
                     panels[i, :, 1] = 2.0 * panels[i, :, 0]
             return panels
 
         monkeypatch.setattr(inference, "gen_sn_stack", collinear_13)
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError, match="10%"):
             power_curve(spec, f, [1.0], B=20, seed=23)
 
 
@@ -347,3 +406,18 @@ def test_resample_indices_in_range(args):
     idx = _resample_indices(np.random.default_rng(seed), n, block_len)
     assert idx.shape == (n,)
     assert idx.min() >= 0 and idx.max() < n
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(min_value=1, max_value=4), n=st.integers(min_value=20, max_value=120),
+       p=st.integers(min_value=1, max_value=5), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_maf_stack_spectrum_invariant(m, n, p, seed):
+    # the differenced eigenvalues depend only on the span of the series and
+    # on the lag-1 structure, so permuting or mixing the series and reversing
+    # time leave them unchanged
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((m, n, p)).cumsum(axis=1) + rng.standard_normal((m, n, p))
+    expected = maf_stack(x).diff_eigenvalues
+    transformed = [x[..., rng.permutation(p)], x[:, ::-1], x @ random_invertible(rng, p)]
+    for y in transformed:
+        np.testing.assert_allclose(maf_stack(y).diff_eigenvalues, expected, rtol=1e-8, atol=0)
