@@ -445,6 +445,8 @@ def main(argv=None) -> int:
     try:
         if args.seed is None:
             args.seed = _default_seed()
+        if args.seed < 0:
+            raise InvalidConfigError(f"seed must be non-negative, got {args.seed}")
         args.func(args)
     except InvalidConfigError as exc:
         print(_error_payload(exc, EXIT_CONFIG))

@@ -1,20 +1,26 @@
 """Resampling-based uncertainty bands, the signal-presence test, test power,
 and factor-count selection.
 
-All resampling draws come from per-replicate RNG streams spawned
-deterministically from (seed, replicate index), so results are bit-identical
-across runs and independent of any evaluation order.
+All resampling draws come from per-replicate RNG streams derived
+deterministically from (seed, replicate index): replicate b draws what
+`default_rng(SeedSequence(seed).spawn(B)[b])` would, so results are
+bit-identical across runs and independent of any evaluation order.
 
 Every resampling function runs its replicates through one driver,
-`_replicates`: replicate panels are drawn one by one, each from its own
-stream, then decomposed together by `maf.maf_stack` in chunks of about
-CHUNK_BYTES of values, which keeps memory flat in B. A singular replicate
-is redrawn from its own stream; more than 10% of B redraws is an error.
+`_replicates`. It computes the PCG64 starting states of all the streams in
+bulk, with numpy's SeedSequence and PCG64 seeding written out over arrays
+(`_stream_words`), and draws every replicate through one reused Generator
+set to its stream's state. Replicate panels are drawn one by one, each
+from its own stream, then decomposed together by `maf.maf_stack` in chunks
+of about CHUNK_BYTES of values, which keeps memory flat in B. A singular
+replicate is redrawn from its own stream; more than 10% of B redraws is an
+error.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -47,25 +53,118 @@ __all__ = [
 # 150 x 4), few enough that memory does not grow with B (1 at 3000 x 8).
 CHUNK_BYTES = 128_000
 
+# Constants of numpy's SeedSequence hash-mix (NEP 19) and of PCG64's LCG
+# (O'Neill 2014); numpy keeps both algorithms stable by policy.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-def _replicates(children, n: int, p: int, k: int, draw):
-    """Decompose one (n, p) panel per SeedSequence in `children`, by chunks.
 
-    `draw(rngs)` stacks one panel per generator; replicate b draws from
-    `default_rng(children[b])`, and each chunk of at most CHUNK_BYTES of
-    values goes through one `maf_stack` call. Singular replicates are
-    redrawn from their own generators; more than 10% of B redraws in all
-    raises SingularMatrixError. Yields (start, stop, MafStack, redraws so far).
+def _stream_words(seed: int, keys) -> np.ndarray:
+    """PCG64 seed words of every replicate stream, as a (len(keys), 4) array.
+
+    Row i equals `SeedSequence(seed, spawn_key=(keys[i],)).generate_state(4,
+    np.uint64)`, which is `SeedSequence(seed).spawn(B)[b]` for key b. The
+    SeedSequence hash-mix runs on uint32 vectors over all keys at once; only
+    the last entropy word, the spawn key, differs between them.
     """
-    B = len(children)
+    seed = operator.index(seed)
+    keys = np.asarray(keys, dtype=np.int64)
+    if seed < 0:
+        raise InvalidConfigError(f"seed must be non-negative, got {seed}")
+    if keys.min() < 0 or keys.max() > _MASK32:
+        raise InvalidConfigError("replicate keys must lie in [0, 2**32)")
+    words = []  # the seed's uint32 words, least significant first
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    entropy = [np.full(keys.shape, w, np.uint32) for w in words + [0] * (4 - len(words))]
+    entropy.append(keys.astype(np.uint32))
+
+    def hasher(hash_const, mult):
+        def hashmix(value):
+            nonlocal hash_const
+            value = value ^ np.uint32(hash_const)
+            hash_const = hash_const * mult & _MASK32
+            value = value * np.uint32(hash_const)
+            return value ^ (value >> np.uint32(16))
+        return hashmix
+
+    def mix(x, y):
+        result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state: eight uint32 words, paired little-endian into uint64
+    output = hasher(_INIT_B, _MULT_B)
+    state = [output(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(state[::2], state[1::2])],
+                    axis=-1)
+
+
+def _pcg64_state(seed_hi: int, seed_lo: int, seq_hi: int, seq_lo: int) -> dict:
+    """The `bit_generator.state` of a PCG64 seeded with these words (srandom)."""
+    inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+    state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _replicates(seed: int, keys, n: int, p: int, k: int, draw):
+    """Decompose one (n, p) panel per replicate key, by chunks.
+
+    Replicate `keys[i]` draws exactly what `default_rng(SeedSequence(seed,
+    spawn_key=(keys[i],)))` would, the `SeedSequence(seed).spawn` child of
+    that index; the streams are computed in bulk by `_stream_words` and
+    drawn through one reused Generator. `draw(rngs)` stacks one panel per
+    generator from a lazy iterator, which sets the next replicate's state
+    only when asked for it, so each replicate's draws finish first. Each
+    chunk of at most CHUNK_BYTES of values goes through one `maf_stack`
+    call. A singular replicate gets a generator of its own: its first draw
+    is replayed and discarded, and it is redrawn from that generator until
+    it is not singular; more than 10% of B redraws in all raises
+    SingularMatrixError. Yields (start, stop, MafStack, redraws so far).
+    """
+    words = _stream_words(seed, keys)
+    B = len(words)
+    # the first stream checked against numpy's own seeding, once per call
+    first = np.random.SeedSequence(seed, spawn_key=(int(keys[0]),))
+    rng = np.random.default_rng(first)
+    bitgen = rng.bit_generator
+    if not (np.array_equal(first.generate_state(4, np.uint64), words[0])
+            and bitgen.state == _pcg64_state(*words[0].tolist())):
+        raise RuntimeError("numpy's SeedSequence or PCG64 seeding no longer matches "
+                           "mafkit's replicate streams")
+
+    def streams(rows):
+        for row in rows.tolist():
+            bitgen.state = _pcg64_state(*row)
+            yield rng
+
     size = max(1, CHUNK_BYTES // (8 * n * p))
     budget = max(1, math.ceil(0.1 * B))
     redraws = 0
     for start in range(0, B, size):
         stop = min(start + size, B)
-        rngs = [np.random.default_rng(child) for child in children[start:stop]]
-        stack = maf_stack(draw(rngs), k, allow_singular=True)
+        stack = maf_stack(draw(streams(words[start:stop])), k, allow_singular=True)
         singular = np.flatnonzero(stack.singular)
+        if singular.size:
+            rngs = [np.random.default_rng(np.random.SeedSequence(
+                seed, spawn_key=(int(keys[start + i]),))) for i in singular]
+            draw(iter(rngs))  # replays the singular first draws
         while singular.size:
             redraws += singular.size
             if redraws > budget:
@@ -73,10 +172,11 @@ def _replicates(children, n: int, p: int, k: int, draw):
                     f"singular replicates needed more than {budget} redraws, the "
                     f"budget of 10% of B={B}; panel too close to singular"
                 )
-            rep = maf_stack(draw([rngs[i] for i in singular]), k, allow_singular=True)
+            rep = maf_stack(draw(iter(rngs)), k, allow_singular=True)
             for field_values, redrawn in zip(stack, rep):
                 field_values[singular] = redrawn
             singular = singular[rep.singular]
+            rngs = [r for r, bad in zip(rngs, rep.singular) if bad]
         yield start, stop, stack, redraws
 
 
@@ -155,13 +255,12 @@ def resample_maf(panel, B: int, block_len: int = 1,
 
     rep_factors = np.empty((n_factors, B, n))
     rep_coefs = np.empty((n_factors, B, p))
-    children = np.random.SeedSequence(seed).spawn(B)
 
     def draw(rngs):
         return np.stack([fitted + residuals[_resample_indices(rng, n, block_len)]
                          for rng in rngs])
 
-    for start, stop, reps, retries in _replicates(children, n, p, n_factors, draw):
+    for start, stop, reps, retries in _replicates(seed, range(B), n, p, n_factors, draw):
         factors, coefs = reps.factors, reps.coefficients
         # align each replicate factor with the original factor it estimates
         centered = factors - factors.mean(axis=1, keepdims=True)
@@ -262,8 +361,7 @@ def signal_presence_test(panel, B: int, cfg: SmootherConfig = SmootherConfig(),
         return inflated[np.stack([_resample_indices(rng, n, block_len) for rng in rngs])]
 
     null_draws = np.empty((k, B))
-    children = np.random.SeedSequence(seed).spawn(B)
-    for start, stop, reps, _ in _replicates(children, n, p, k, draw):
+    for start, stop, reps, _ in _replicates(seed, range(B), n, p, k, draw):
         null_draws[:, start:stop] = _factor_snrs(reps.factors, cfg)
 
     exceed = (null_draws >= observed[:, None]).sum(axis=1)
@@ -314,12 +412,11 @@ def power_curve(spec, signal, multipliers, B: int, alpha: float = 0.05,
 
     n, p = f.size, spec.p
     chol = noise_cholesky(spec.noise_cov, p)
-    children = np.random.SeedSequence(seed).spawn((1 + len(multipliers)) * B)
 
     def stats(b, offset: int) -> np.ndarray:
         out = np.empty(B)
         draw = partial(gen_sn_stack, f, b, chol, ar_phi=spec.k_eps)
-        for start, stop, reps, _ in _replicates(children[offset:offset + B], n, p, 1, draw):
+        for start, stop, reps, _ in _replicates(seed, range(offset, offset + B), n, p, 1, draw):
             if statistic == "snr":
                 out[start:stop] = _factor_snrs(reps.factors, cfg)[0]
             else:

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DegenerateSeriesError, InvalidInputError
 from .linalg import assert_spd
@@ -72,6 +71,10 @@ def gen_signal(spec: SignalSpec) -> np.ndarray:
         idx, vals = idx[order], vals[order]
         if np.any(np.diff(idx) <= 0):
             raise InvalidInputError("control points collapse onto the same grid index")
+        # imported here: scipy.interpolate takes about 0.6 s to import, and
+        # no other code path needs it
+        from scipy.interpolate import PchipInterpolator
+
         raw = PchipInterpolator(idx, vals, extrapolate=True)(t)
     raw = raw - raw.mean()
     norm = np.linalg.norm(raw)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mafkit
 from mafkit import CsvParseError, __version__
 from mafkit.cli import ingest_csv, main
 from mafkit.datasets import example_panel_path
@@ -180,6 +185,24 @@ class TestCliCommands:
         meta = json.loads((out / "run.json").read_text())
         assert meta["seed"] == 77
 
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
+        code = main([
+            "test", "--input", str(example_panel_path()),
+            "--output", str(tmp_path / "o"), "--seed", "-1",
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == "InvalidConfigError"
+        assert "-1" in err["error"]["message"]
+
+    def test_negative_env_seed_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MAFKIT_SEED", "-3")
+        code = main(["power", "--output", str(tmp_path / "o"), "-B", "10"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == "InvalidConfigError"
+        assert not (tmp_path / "o").exists()
+
     def test_data_error_exit_code_and_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n3,oops\n5,6\n")
@@ -208,3 +231,16 @@ class TestCliCommands:
         assert code == 4
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["type"] == "SingularMatrixError"
+
+
+def test_import_does_not_load_scipy():
+    # scipy.interpolate alone takes about 0.6 s to import; only the
+    # piecewise-interpolated signal needs it
+    src = str(Path(mafkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, mafkit, mafkit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mafkit import (
+    InvalidConfigError,
     InvalidInputError,
     SignalSpec,
     SingularMatrixError,
@@ -231,37 +232,115 @@ class TestKernel:
             )
 
 
-class TestDriver:
-    def test_redraw_replaces_every_field(self, chunk_bytes):
-        # replicate 5's first panel is collinear, so the chunk must hold the
-        # decomposition of the next panel of its stream in every field
-        children = spawn(41, 12)
-        bad_key = children[5].spawn_key
-        seen = set()
+STREAM_KEYS = [0, 1, 4998, 5999, 65536, 2**32 - 1]
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**130 + 5]
+
+
+class TestStreams:
+    def test_words_match_spawned_children(self):
+        expected = [child.generate_state(4, np.uint64) for child in spawn(0, 20_000)]
+        np.testing.assert_array_equal(inference._stream_words(0, range(20_000)), expected)
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_words_and_states_match_numpy(self, seed):
+        words = inference._stream_words(seed, STREAM_KEYS)
+        children = [np.random.SeedSequence(seed, spawn_key=(key,)) for key in STREAM_KEYS]
+        for row, child in zip(words, children):
+            np.testing.assert_array_equal(row, child.generate_state(4, np.uint64))
+        # the driver's shared generator holds each child's starting state
+        states = []
 
         def draw(rngs):
-            panels = np.stack([rng.standard_normal((150, 4)) for rng in rngs])
-            for i, rng in enumerate(rngs):
-                key = rng.bit_generator.seed_seq.spawn_key
-                if key == bad_key and key not in seen:
-                    seen.add(key)
-                    panels[i, :, 1] = panels[i, :, 0]
-            return panels
+            panels = []
+            for rng in rngs:
+                states.append(rng.bit_generator.state)
+                panels.append(rng.standard_normal((10, 2)))
+            return np.stack(panels)
 
-        chunks = list(inference._replicates(children, 150, 4, 2, draw))
-        _, stop, _, redraws = chunks[-1]
-        assert stop == 12 and redraws == 1
-        expected = []
-        for b, child in enumerate(children):
-            rng = np.random.default_rng(child)
+        list(inference._replicates(seed, STREAM_KEYS, 10, 2, 1, draw))
+        assert states == [np.random.default_rng(child).bit_generator.state
+                          for child in children]
+
+    @pytest.mark.parametrize("seed, keys", [(-1, [0]), (0, [2**32]), (0, [-1])])
+    def test_rejects_negative_seed_and_wide_keys(self, seed, keys):
+        with pytest.raises(InvalidConfigError):
+            inference._stream_words(seed, keys)
+
+    @pytest.mark.parametrize("constant", ["_INIT_B", "_PCG64_MULT"])
+    def test_driver_checks_seeding_against_numpy(self, monkeypatch, constant):
+        monkeypatch.setattr(inference, constant, getattr(inference, constant) ^ 2)
+        with pytest.raises(RuntimeError, match="no longer matches"):
+            next(inference._replicates(0, range(3), 10, 2, 1, lambda rngs: None))
+
+
+def start_state(rng):
+    """The PCG64 (state, increment) of `rng`, as it is before its next draw."""
+    state = rng.bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+def collinear_draw(seed, B, collinear):
+    """A draw for the driver of 150 x 4 normal panels, in which the first
+    collinear[b] panels of replicate b's stream are collinear.
+
+    A draw is told apart by its generator's state when it starts: replicate
+    b's first draw starts where `default_rng(child b)` does, and each later
+    draw of its stream starts where the previous one left off.
+    """
+    owner = {start_state(np.random.default_rng(child)): (b, 0)
+             for b, child in enumerate(spawn(seed, B))}
+
+    def draw(rngs):
+        panels = []
+        for rng in rngs:
+            b, i = owner.get(start_state(rng), (None, 0))
             panel = rng.standard_normal((150, 4))
-            if b == 5:
-                panel = rng.standard_normal((150, 4))
-            expected.append(panel)
-        expected = maf_stack(np.stack(expected), 2)
+            if b is not None:
+                owner[start_state(rng)] = (b, i + 1)
+                if i < collinear.get(b, 0):
+                    panel[:, 1] = panel[:, 0]
+            panels.append(panel)
+        return np.stack(panels)
+
+    return draw
+
+
+def loop_collinear(seed, B, collinear):
+    """The panels `collinear_draw` replicates end on, one stream at a time:
+    replicate b skips its collinear[b] collinear panels."""
+    panels = []
+    for b, child in enumerate(spawn(seed, B)):
+        rng = np.random.default_rng(child)
+        for _ in range(collinear.get(b, 0)):
+            rng.standard_normal((150, 4))
+        panels.append(rng.standard_normal((150, 4)))
+    return np.stack(panels)
+
+
+class TestDriver:
+    def check_redraws(self, seed, B, collinear):
+        chunks = list(inference._replicates(seed, range(B), 150, 4, 2,
+                                            collinear_draw(seed, B, collinear)))
+        _, stop, _, redraws = chunks[-1]
+        assert stop == B and redraws == sum(collinear.values())
+        expected = maf_stack(loop_collinear(seed, B, collinear), 2)
         for name, values in expected._asdict().items():
             got = np.concatenate([getattr(stack, name) for _, _, stack, _ in chunks])
             np.testing.assert_allclose(got, values, rtol=TOL, atol=TOL, err_msg=name)
+        return chunks
+
+    def test_redraw_replaces_every_field(self, chunk_bytes):
+        # replicate 5's first panel is collinear, so the chunk must hold the
+        # decomposition of the next panel of its stream in every field
+        self.check_redraws(41, 12, {5: 1})
+
+    def test_two_singular_replicates_in_one_chunk(self, chunk_bytes):
+        # replicates 5 and 6 share a chunk unless it holds one replicate;
+        # 5 is singular on two draws, so the second round redraws it alone
+        # (3 redraws, the budget for B=30)
+        chunks = self.check_redraws(42, 30, {5: 2, 6: 1})
+        assert any(start <= 5 and 6 < stop for start, stop, _, _ in chunks) == (
+            chunk_bytes > 8 * 150 * 4)
 
 
 class TestPresence:
@@ -344,17 +423,26 @@ class TestPower:
 
     def test_singular_replicate_raises(self, monkeypatch, chunk_bytes):
         # null replicate 13 is collinear on every draw, so its redraws use
-        # up the budget of 2 (10% of B=20)
+        # up the budget of 2 (10% of B=20); its draws are told apart by the
+        # generator's state when each starts, as in `collinear_draw`
         spec = SnModelSpec.equicorrelated(b=[0.5, 0.4, 0.3], sigma=1.0, rho=0.5)
         f = gen_signal(SignalSpec(kind="sinusoid-mixture", n=150, seed=7))
-        bad_key = spawn(23, 2 * 20)[13].spawn_key
+        bad = {start_state(np.random.default_rng(spawn(23, 2 * 20)[13]))}
         draw = inference.gen_sn_stack
 
         def collinear_13(f, b, chol, rngs, ar_phi=0.0):
-            panels = draw(f, b, chol, rngs, ar_phi=ar_phi)
-            for i, rng in enumerate(rngs):
-                if rng.bit_generator.seed_seq.spawn_key == bad_key:
-                    panels[i, :, 1] = 2.0 * panels[i, :, 0]
+            marked = []
+
+            def tagged():
+                for rng in rngs:
+                    marked.append(start_state(rng) in bad)
+                    yield rng
+                    if marked[-1]:
+                        bad.add(start_state(rng))
+
+            panels = draw(f, b, chol, tagged(), ar_phi=ar_phi)
+            for i in np.flatnonzero(marked):
+                panels[i, :, 1] = 2.0 * panels[i, :, 0]
             return panels
 
         monkeypatch.setattr(inference, "gen_sn_stack", collinear_13)
