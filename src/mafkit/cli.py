@@ -31,11 +31,12 @@ from .errors import (
     ParameterPoleError,
     SingularMatrixError,
 )
-from .inference import power_curve, resample_maf, select_num_factors, signal_presence_test
+from .inference import (ExperimentGrid, power_curve, resample_maf, run_comparison_experiment,
+                        select_num_factors, signal_presence_test)
 from .maf import compute_maf, compute_pca
 from .oracles import SnModelSpec
 from .panel import TimeSeriesPanel
-from .simulate import ExperimentGrid, SignalSpec, gen_signal, run_comparison_experiment
+from .simulate import SignalSpec, gen_signal
 from .smoothing import SmootherConfig
 
 EXIT_OK = 0
@@ -61,7 +62,7 @@ def ingest_csv(path, standardize: bool = False) -> TimeSeriesPanel:
     """
     path = Path(path)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = list(reader)
     except OSError as exc:

@@ -1,20 +1,20 @@
 """Resampling-based uncertainty bands, the signal-presence test, test power,
-and factor-count selection.
+the MAF-vs-PCA comparison experiment, and factor-count selection.
 
 All resampling draws come from per-replicate RNG streams derived
 deterministically from (seed, replicate index): replicate b draws what
 `default_rng(SeedSequence(seed).spawn(B)[b])` would, so results are
 bit-identical across runs and independent of any evaluation order.
 
-Every resampling function runs its replicates through one driver,
-`_replicates`. It computes the PCG64 starting states of all the streams in
-bulk, with numpy's SeedSequence and PCG64 seeding written out over arrays
-(`_stream_words`), and draws every replicate through one reused Generator
-set to its stream's state. Replicate panels are drawn one by one, each
-from its own stream, then decomposed together by `maf.maf_stack` in chunks
-of about CHUNK_BYTES of values, which keeps memory flat in B. A singular
-replicate is redrawn from its own stream; more than 10% of B redraws is an
-error.
+Every resampling function and the comparison experiment run their
+replicates through one driver, `_replicates`. It computes the PCG64
+starting states of all the streams in bulk, with numpy's SeedSequence and
+PCG64 seeding written out over arrays (`_stream_words`), and draws every
+replicate through one reused Generator set to its stream's state.
+Replicate panels are drawn one by one, each from its own stream, then
+decomposed together by `maf.maf_stack` in chunks of about CHUNK_BYTES of
+values, which keeps memory flat in B. A singular replicate is redrawn from
+its own stream; more than 10% of B redraws is an error.
 """
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ import numpy as np
 from .errors import (
     DegenerateSeriesError,
     InvalidConfigError,
+    InvalidInputError,
     SingularMatrixError,
 )
-from .maf import compute_maf, maf_stack
+from .maf import compute_maf, compute_pca, maf_stack
 from .panel import as_panel
-from .simulate import gen_sn_stack, noise_cholesky
+from .simulate import SignalSpec, gen_signal, gen_sn_stack, noise_cholesky
 from .smoothing import SmootherConfig, empirical_snr, hat_matrix, smooth_columns, snr_columns
 
 __all__ = [
@@ -44,6 +45,11 @@ __all__ = [
     "resample_maf",
     "signal_presence_test",
     "power_curve",
+    "ExperimentGrid",
+    "ExperimentRow",
+    "correlation_with_signal",
+    "multi_factor_r",
+    "run_comparison_experiment",
     "select_num_factors",
 ]
 
@@ -136,7 +142,9 @@ def _replicates(seed: int, keys, n: int, p: int, k: int, draw):
     call. A singular replicate gets a generator of its own: its first draw
     is replayed and discarded, and it is redrawn from that generator until
     it is not singular; more than 10% of B redraws in all raises
-    SingularMatrixError. Yields (start, stop, MafStack, redraws so far).
+    SingularMatrixError. Yields (start, stop, panels, MafStack, redraws so
+    far), where `panels[i]` is the panel that the MafStack's row i
+    decomposes: a redrawn replicate's last draw, not its discarded first.
     """
     words = _stream_words(seed, keys)
     B = len(words)
@@ -159,7 +167,8 @@ def _replicates(seed: int, keys, n: int, p: int, k: int, draw):
     redraws = 0
     for start in range(0, B, size):
         stop = min(start + size, B)
-        stack = maf_stack(draw(streams(words[start:stop])), k, allow_singular=True)
+        panels = draw(streams(words[start:stop]))
+        stack = maf_stack(panels, k, allow_singular=True)
         singular = np.flatnonzero(stack.singular)
         if singular.size:
             rngs = [np.random.default_rng(np.random.SeedSequence(
@@ -172,12 +181,14 @@ def _replicates(seed: int, keys, n: int, p: int, k: int, draw):
                     f"singular replicates needed more than {budget} redraws, the "
                     f"budget of 10% of B={B}; panel too close to singular"
                 )
-            rep = maf_stack(draw(iter(rngs)), k, allow_singular=True)
-            for field_values, redrawn in zip(stack, rep):
-                field_values[singular] = redrawn
+            redrawn = draw(iter(rngs))
+            rep = maf_stack(redrawn, k, allow_singular=True)
+            panels[singular] = redrawn
+            for field_values, values in zip(stack, rep):
+                field_values[singular] = values
             singular = singular[rep.singular]
             rngs = [r for r, bad in zip(rngs, rep.singular) if bad]
-        yield start, stop, stack, redraws
+        yield start, stop, panels, stack, redraws
 
 
 def _factor_snrs(factors: np.ndarray, cfg: SmootherConfig) -> np.ndarray:
@@ -260,7 +271,7 @@ def resample_maf(panel, B: int, block_len: int = 1,
         return np.stack([fitted + residuals[_resample_indices(rng, n, block_len)]
                          for rng in rngs])
 
-    for start, stop, reps, retries in _replicates(seed, range(B), n, p, n_factors, draw):
+    for start, stop, _, reps, retries in _replicates(seed, range(B), n, p, n_factors, draw):
         factors, coefs = reps.factors, reps.coefficients
         # align each replicate factor with the original factor it estimates
         centered = factors - factors.mean(axis=1, keepdims=True)
@@ -361,7 +372,7 @@ def signal_presence_test(panel, B: int, cfg: SmootherConfig = SmootherConfig(),
         return inflated[np.stack([_resample_indices(rng, n, block_len) for rng in rngs])]
 
     null_draws = np.empty((k, B))
-    for start, stop, reps, _ in _replicates(seed, range(B), n, p, k, draw):
+    for start, stop, _, reps, _ in _replicates(seed, range(B), n, p, k, draw):
         null_draws[:, start:stop] = _factor_snrs(reps.factors, cfg)
 
     exceed = (null_draws >= observed[:, None]).sum(axis=1)
@@ -416,7 +427,7 @@ def power_curve(spec, signal, multipliers, B: int, alpha: float = 0.05,
     def stats(b, offset: int) -> np.ndarray:
         out = np.empty(B)
         draw = partial(gen_sn_stack, f, b, chol, ar_phi=spec.k_eps)
-        for start, stop, reps, _ in _replicates(seed, range(offset, offset + B), n, p, 1, draw):
+        for start, stop, _, reps, _ in _replicates(seed, range(offset, offset + B), n, p, 1, draw):
             if statistic == "snr":
                 out[start:stop] = _factor_snrs(reps.factors, cfg)[0]
             else:
@@ -428,6 +439,117 @@ def power_curve(spec, signal, multipliers, B: int, alpha: float = 0.05,
         PowerPoint(multiplier=c, power=float(np.mean(stats(c * spec.b, (1 + i) * B) > threshold)))
         for i, c in enumerate(multipliers)
     ]
+
+
+@dataclass(frozen=True)
+class ExperimentGrid:
+    """Grid of noise cross-correlations and signal-strength multipliers."""
+
+    rho_values: tuple[float, ...]
+    b_multipliers: tuple[float, ...]
+    base_b: tuple[float, ...]
+    n: int
+    reps: int
+    seed: int
+    signal: SignalSpec | None = None
+
+    def __post_init__(self):
+        if self.reps < 1:
+            raise InvalidInputError(f"reps must be at least 1, got {self.reps}")
+        if len(self.rho_values) < 1 or len(self.b_multipliers) < 1:
+            raise InvalidInputError("grid must contain at least one cell")
+        if any(c < 0 for c in self.b_multipliers):
+            raise InvalidInputError("signal multipliers must be non-negative")
+
+    def signal_spec(self) -> SignalSpec:
+        if self.signal is not None:
+            return self.signal
+        return SignalSpec(kind="sinusoid-mixture", n=self.n, n_waves=3, seed=7)
+
+
+@dataclass(frozen=True)
+class ExperimentRow:
+    """One statistic summarized over the reps of one grid cell."""
+
+    rho: float
+    multiplier: float
+    statistic: str
+    mean: float
+    se: float
+    reps: int
+
+
+EXPERIMENT_STATISTICS = ("maf1_correlation", "pca1_correlation", "pc12_multiple_r")
+
+
+def correlation_with_signal(factor, f) -> float:
+    """Absolute sample correlation between a factor series and the signal."""
+    x = np.asarray(factor, dtype=float).ravel()
+    y = np.asarray(f, dtype=float).ravel()
+    if x.shape != y.shape:
+        raise InvalidInputError("factor and signal must have the same length")
+    if x.std() == 0.0 or y.std() == 0.0:
+        raise DegenerateSeriesError("correlation undefined for a constant series")
+    return float(abs(np.corrcoef(x, y)[0, 1]))
+
+
+def multi_factor_r(f, factors) -> float:
+    """sqrt(R^2) from regressing the signal on k factor series plus an intercept."""
+    y = np.asarray(f, dtype=float).ravel()
+    x = np.asarray(factors, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    n, k = x.shape
+    if y.size != n:
+        raise InvalidInputError("signal and factors must have the same length")
+    if k >= n:
+        raise InvalidInputError(f"need more observations than regressors, got n={n}, k={k}")
+    design = np.column_stack([np.ones(n), x])
+    if np.linalg.matrix_rank(design) < k + 1:
+        raise InvalidInputError("factor matrix is rank deficient")
+    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    if ss_tot == 0.0:
+        raise DegenerateSeriesError("signal is constant")
+    r2 = 1.0 - float(resid @ resid) / ss_tot
+    return float(np.sqrt(np.clip(r2, 0.0, 1.0)))
+
+
+def run_comparison_experiment(grid: ExperimentGrid) -> list[ExperimentRow]:
+    """Signal-recovery comparison of MAF1, PCA1 and the PC1+PC2 regression.
+
+    For every (rho, multiplier) cell, `reps` independent panels are drawn
+    and three statistics are recorded: the correlation of MAF1 with the true
+    signal, the same for PCA1 (correlation PCA), and the multiple-R of the
+    signal regressed on PC1 and PC2 jointly. Returns one row per cell and
+    statistic with the mean and standard error over reps; fully
+    deterministic given the grid. Rep r of cell c is replicate key
+    c * reps + r of `grid.seed` in the driver (`_replicates`), so a singular
+    panel is redrawn from its own stream.
+    """
+    f = gen_signal(grid.signal_spec())
+    base_b = np.asarray(grid.base_b, dtype=float)
+    n, p, reps = f.size, base_b.size, grid.reps
+    cells = [(rho, mult) for rho in grid.rho_values for mult in grid.b_multipliers]
+    rows: list[ExperimentRow] = []
+    for c, (rho, mult) in enumerate(cells):
+        draw = partial(gen_sn_stack, f, mult * base_b, noise_cholesky((rho, 1.0), p))
+        keys = range(c * reps, (c + 1) * reps)
+        stats = np.empty((reps, 3))
+        # all p factors: with k=1 the whitener product rounds unlike compute_maf's
+        for start, _, panels, stack, _ in _replicates(grid.seed, keys, n, p, p, draw):
+            for r, (values, maf1) in enumerate(zip(panels, stack.factors[..., 0]), start):
+                pca = compute_pca(values)
+                stats[r] = (correlation_with_signal(maf1, f),
+                            correlation_with_signal(pca.factors[:, 0], f),
+                            multi_factor_r(f, pca.factors[:, : min(2, p)]))
+        means = stats.mean(axis=0)
+        ses = stats.std(axis=0, ddof=1) / np.sqrt(reps) if reps > 1 else np.zeros(3)
+        for name, mean, se in zip(EXPERIMENT_STATISTICS, means, ses):
+            rows.append(ExperimentRow(rho=float(rho), multiplier=float(mult), statistic=name,
+                                      mean=float(mean), se=float(se), reps=reps))
+    return rows
 
 
 @dataclass(frozen=True)

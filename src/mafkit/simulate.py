@@ -1,5 +1,5 @@
-"""Signal generators, signal-plus-noise panel simulation, and the
-MAF-vs-PCA recovery comparison experiment."""
+"""Signal generators and signal-plus-noise panel simulation; the MAF-vs-PCA
+comparison experiment on such panels is in `mafkit.inference`."""
 
 from __future__ import annotations
 
@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSeriesError, InvalidInputError
+from .errors import DegenerateSeriesError, InvalidConfigError, InvalidInputError
 from .linalg import assert_spd
-from .maf import compute_maf, compute_pca
 from .oracles import equicorrelation_noise_cov
 from .panel import TimeSeriesPanel
 
@@ -47,6 +46,8 @@ class SignalSpec:
                 raise InvalidInputError("control point positions must lie in [0, 1]")
         if self.kind == "sinusoid-mixture" and self.n_waves < 1:
             raise InvalidInputError("sinusoid mixture needs at least one component")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def gen_signal(spec: SignalSpec) -> np.ndarray:
@@ -123,7 +124,8 @@ def gen_sn_panel(f, b, noise, seed, ar_phi: float = 0.0) -> TimeSeriesPanel:
     b : per-series signal strengths.
     noise : full noise covariance matrix, or a (rho, sigma) pair for the
         equicorrelated form.
-    seed : int or numpy SeedSequence; the panel is deterministic given it.
+    seed : anything `numpy.random.default_rng` accepts; the panel is
+        deterministic given it.
     ar_phi : optional AR(1) coefficient for the noise rows; the lag-1 noise
         autocovariance is then ar_phi times the marginal covariance.
     """
@@ -136,7 +138,7 @@ def gen_sn_panel(f, b, noise, seed, ar_phi: float = 0.0) -> TimeSeriesPanel:
 def gen_sn_stack(f, b, noise_chol, seeds, ar_phi: float = 0.0) -> np.ndarray:
     """Simulate one signal-plus-noise panel per seed, as an (m, n, p) stack.
 
-    Each seed is an int, a SeedSequence or a Generator, which is drawn from
+    Each seed is anything `default_rng` accepts; a Generator is drawn from
     in place. Panel i equals `gen_sn_panel(f, b, noise, seeds[i],
     ar_phi).values` when `noise_chol` is `noise_cholesky(noise, p)`: each
     panel draws its shocks from its own generator, and the AR(1) recursion
@@ -162,124 +164,3 @@ def gen_sn_stack(f, b, noise_chol, seeds, ar_phi: float = 0.0) -> np.ndarray:
         for t in range(1, n):
             noise_rows[:, t] = ar_phi * noise_rows[:, t - 1] + scale * noise_rows[:, t]
     return np.outer(np.sqrt(n) * f, b) + noise_rows
-
-
-def correlation_with_signal(factor, f) -> float:
-    """Absolute sample correlation between a factor series and the signal."""
-    x = np.asarray(factor, dtype=float).ravel()
-    y = np.asarray(f, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise InvalidInputError("factor and signal must have the same length")
-    if x.std() == 0.0 or y.std() == 0.0:
-        raise DegenerateSeriesError("correlation undefined for a constant series")
-    return float(abs(np.corrcoef(x, y)[0, 1]))
-
-
-def multi_factor_r(f, factors) -> float:
-    """sqrt(R^2) from regressing the signal on k factor series plus an intercept."""
-    y = np.asarray(f, dtype=float).ravel()
-    x = np.asarray(factors, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    n, k = x.shape
-    if y.size != n:
-        raise InvalidInputError("signal and factors must have the same length")
-    if k >= n:
-        raise InvalidInputError(f"need more observations than regressors, got n={n}, k={k}")
-    design = np.column_stack([np.ones(n), x])
-    if np.linalg.matrix_rank(design) < k + 1:
-        raise InvalidInputError("factor matrix is rank deficient")
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
-        raise DegenerateSeriesError("signal is constant")
-    r2 = 1.0 - float(resid @ resid) / ss_tot
-    return float(np.sqrt(np.clip(r2, 0.0, 1.0)))
-
-
-@dataclass(frozen=True)
-class ExperimentGrid:
-    """Grid of noise cross-correlations and signal-strength multipliers."""
-
-    rho_values: tuple[float, ...]
-    b_multipliers: tuple[float, ...]
-    base_b: tuple[float, ...]
-    n: int
-    reps: int
-    seed: int
-    signal: SignalSpec | None = None
-
-    def __post_init__(self):
-        if self.reps < 1:
-            raise InvalidInputError(f"reps must be at least 1, got {self.reps}")
-        if len(self.rho_values) < 1 or len(self.b_multipliers) < 1:
-            raise InvalidInputError("grid must contain at least one cell")
-        if any(c < 0 for c in self.b_multipliers):
-            raise InvalidInputError("signal multipliers must be non-negative")
-
-    def signal_spec(self) -> SignalSpec:
-        if self.signal is not None:
-            return self.signal
-        return SignalSpec(kind="sinusoid-mixture", n=self.n, n_waves=3, seed=7)
-
-
-@dataclass(frozen=True)
-class ExperimentRow:
-    """One statistic summarized over the reps of one grid cell."""
-
-    rho: float
-    multiplier: float
-    statistic: str
-    mean: float
-    se: float
-    reps: int
-
-
-EXPERIMENT_STATISTICS = ("maf1_correlation", "pca1_correlation", "pc12_multiple_r")
-
-
-def run_comparison_experiment(grid: ExperimentGrid) -> list[ExperimentRow]:
-    """Signal-recovery comparison of MAF1, PCA1 and the PC1+PC2 regression.
-
-    For every (rho, multiplier) cell, `reps` independent panels are drawn
-    and three statistics are recorded: the correlation of MAF1 with the true
-    signal, the same for PCA1 (correlation PCA), and the multiple-R of the
-    signal regressed on PC1 and PC2 jointly. Returns one row per cell and
-    statistic with the mean and standard error over reps; fully
-    deterministic given the grid (seeds are derived per cell and rep).
-    """
-    f = gen_signal(grid.signal_spec())
-    base_b = np.asarray(grid.base_b, dtype=float)
-    cells = [(rho, mult) for rho in grid.rho_values for mult in grid.b_multipliers]
-    children = np.random.SeedSequence(grid.seed).spawn(len(cells) * grid.reps)
-    rows: list[ExperimentRow] = []
-    for c_idx, (rho, mult) in enumerate(cells):
-        stats = np.empty((grid.reps, 3))
-        for r in range(grid.reps):
-            panel = gen_sn_panel(
-                f, mult * base_b, (rho, 1.0), children[c_idx * grid.reps + r]
-            )
-            maf = compute_maf(panel)
-            pca = compute_pca(panel)
-            stats[r, 0] = correlation_with_signal(maf.factors[:, 0], f)
-            stats[r, 1] = correlation_with_signal(pca.factors[:, 0], f)
-            stats[r, 2] = multi_factor_r(f, pca.factors[:, : min(2, panel.p)])
-        means = stats.mean(axis=0)
-        ses = (
-            stats.std(axis=0, ddof=1) / np.sqrt(grid.reps)
-            if grid.reps > 1
-            else np.zeros(3)
-        )
-        for name, mean, se in zip(EXPERIMENT_STATISTICS, means, ses):
-            rows.append(
-                ExperimentRow(
-                    rho=float(rho),
-                    multiplier=float(mult),
-                    statistic=name,
-                    mean=float(mean),
-                    se=float(se),
-                    reps=grid.reps,
-                )
-            )
-    return rows

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mafkit
 from mafkit import CsvParseError, __version__
-from mafkit.cli import ingest_csv, main
+from mafkit.cli import _write_csv, ingest_csv, main
 from mafkit.datasets import example_panel_path
 
 
@@ -70,6 +72,16 @@ class TestIngestCsv:
         path.write_text("a,b\n1.0,2.0\n3.0,4.0\n")
         with pytest.raises(CsvParseError, match="3 data rows"):
             ingest_csv(path)
+
+    def test_utf8_byte_order_mark_ignored(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a BOM; it must not turn
+        # the `t` header into a series label
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + Path(example_panel_path()).read_bytes())
+        panel, expected = ingest_csv(path), ingest_csv(example_panel_path())
+        assert panel.labels == expected.labels
+        np.testing.assert_array_equal(panel.time, expected.time)
+        np.testing.assert_array_equal(panel.values, expected.values)
 
     def test_standardize(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -244,3 +256,35 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+# plain identifiers: `_write_csv` writes every cell unquoted
+LABEL = st.text("abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=6).filter(
+    lambda label: label != "t")
+
+
+@st.composite
+def csv_panels(draw):
+    """A finite n x p panel, distinct series labels and a strictly increasing
+    time column (bounded so that its differences cannot overflow)."""
+    n = draw(st.integers(min_value=3, max_value=40))
+    p = draw(st.integers(min_value=1, max_value=5))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(st.lists(finite, min_size=p, max_size=p), min_size=n, max_size=n))
+    time = draw(st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=n,
+                         max_size=n, unique=True))
+    labels = draw(st.lists(LABEL, min_size=p, max_size=p, unique=True))
+    return np.array(values, dtype=float), np.sort(time), labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=csv_panels())
+def test_write_then_ingest_round_trips(tmp_path_factory, data):
+    # `.17g` round-trips every finite double, so nothing is lost on the way
+    values, time, labels = data
+    path = tmp_path_factory.mktemp("round_trip") / "panel.csv"
+    _write_csv(path, ["t"] + labels, np.column_stack([time, values]))
+    panel = ingest_csv(path)
+    assert panel.labels == tuple(labels)
+    np.testing.assert_array_equal(panel.time, time)
+    np.testing.assert_array_equal(panel.values, values)

@@ -4,6 +4,7 @@ import pytest
 from mafkit import (
     DegenerateSeriesError,
     ExperimentGrid,
+    InvalidConfigError,
     InvalidInputError,
     SignalSpec,
     compute_maf,
@@ -227,3 +228,13 @@ class TestComparisonExperiment:
                 rho_values=(0.2,), b_multipliers=(1.0,), base_b=(1.0,),
                 n=100, reps=0, seed=1,
             )
+
+    def test_negative_seeds_are_config_errors(self):
+        with pytest.raises(InvalidConfigError, match="non-negative"):
+            gen_signal(SignalSpec(kind="sinusoid-mixture", n=50, seed=-1))
+        grid = ExperimentGrid(
+            rho_values=(0.2,), b_multipliers=(1.0,), base_b=(0.8, 0.4),
+            n=50, reps=3, seed=-1,
+        )
+        with pytest.raises(InvalidConfigError, match="non-negative"):
+            run_comparison_experiment(grid)

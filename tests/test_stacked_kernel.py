@@ -7,7 +7,9 @@ same order, and redrawing a replicate whose covariance is singular from
 its own generator until it is not. The resampling functions in
 `mafkit.inference` must reproduce it to 1e-12 for every chunk size,
 including one replicate per chunk, chunks that do not divide B, and all of
-B in one chunk.
+B in one chunk. The comparison experiment is held to the per-panel loop
+it replaced (`gen_sn_panel`, `compute_maf`, `compute_pca` and the recovery
+statistics on the spawned children) in the same way.
 """
 
 import math
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mafkit import (
+    ExperimentGrid,
     InvalidConfigError,
     InvalidInputError,
     SignalSpec,
@@ -25,11 +28,15 @@ from mafkit import (
     SmootherConfig,
     SnModelSpec,
     compute_maf,
+    compute_pca,
+    correlation_with_signal,
     empirical_snr,
     gen_signal,
     gen_sn_panel,
+    multi_factor_r,
     power_curve,
     resample_maf,
+    run_comparison_experiment,
     select_num_factors,
     signal_presence_test,
 )
@@ -154,6 +161,30 @@ def loop_resample(panel, B, block_len=1, cfg=SmootherConfig(), n_factors=1, seed
         rep_factors[:, b] = (factors * flips).T
         rep_coefs[:, b] = (coefs * flips / np.linalg.norm(coefs, axis=0)).T
     return rep_factors, rep_coefs, retries
+
+
+def loop_experiment(grid):
+    """(rho, multiplier, statistic, mean, se) rows of the comparison
+    experiment, one panel at a time: rep r of cell c is `gen_sn_panel` on
+    child c * reps + r of `SeedSequence(seed).spawn(cells * reps)`."""
+    f = gen_signal(grid.signal_spec())
+    base_b = np.asarray(grid.base_b, dtype=float)
+    cells = [(rho, mult) for rho in grid.rho_values for mult in grid.b_multipliers]
+    children = spawn(grid.seed, len(cells) * grid.reps)
+    rows = []
+    for c, (rho, mult) in enumerate(cells):
+        stats = np.empty((grid.reps, 3))
+        for r in range(grid.reps):
+            panel = gen_sn_panel(f, mult * base_b, (rho, 1.0), children[c * grid.reps + r])
+            maf, pca = compute_maf(panel), compute_pca(panel)
+            stats[r] = (correlation_with_signal(maf.factors[:, 0], f),
+                        correlation_with_signal(pca.factors[:, 0], f),
+                        multi_factor_r(f, pca.factors[:, : min(2, panel.p)]))
+        ses = stats.std(axis=0, ddof=1) / np.sqrt(grid.reps)
+        for name, mean, se in zip(("maf1_correlation", "pca1_correlation",
+                                   "pc12_multiple_r"), stats.mean(axis=0), ses):
+            rows.append((rho, mult, name, mean, se))
+    return rows
 
 
 def sparse_panel(n=30, rows=(3, 11, 20), seed=0):
@@ -321,11 +352,14 @@ class TestDriver:
     def check_redraws(self, seed, B, collinear):
         chunks = list(inference._replicates(seed, range(B), 150, 4, 2,
                                             collinear_draw(seed, B, collinear)))
-        _, stop, _, redraws = chunks[-1]
+        _, stop, _, _, redraws = chunks[-1]
         assert stop == B and redraws == sum(collinear.values())
-        expected = maf_stack(loop_collinear(seed, B, collinear), 2)
+        panels = loop_collinear(seed, B, collinear)
+        # the yielded panels are the ones the stacks decompose, redraws included
+        np.testing.assert_array_equal(np.concatenate([chunk[2] for chunk in chunks]), panels)
+        expected = maf_stack(panels, 2)
         for name, values in expected._asdict().items():
-            got = np.concatenate([getattr(stack, name) for _, _, stack, _ in chunks])
+            got = np.concatenate([getattr(stack, name) for _, _, _, stack, _ in chunks])
             np.testing.assert_allclose(got, values, rtol=TOL, atol=TOL, err_msg=name)
         return chunks
 
@@ -339,7 +373,7 @@ class TestDriver:
         # 5 is singular on two draws, so the second round redraws it alone
         # (3 redraws, the budget for B=30)
         chunks = self.check_redraws(42, 30, {5: 2, 6: 1})
-        assert any(start <= 5 and 6 < stop for start, stop, _, _ in chunks) == (
+        assert any(start <= 5 and 6 < stop for start, stop, _, _, _ in chunks) == (
             chunk_bytes > 8 * 150 * 4)
 
 
@@ -483,6 +517,30 @@ class TestResample:
         panel = sparse_panel(rows=(7,))
         with pytest.raises(SingularMatrixError, match="10%"):
             resample_maf(panel, B=40, seed=1)
+
+
+EXPERIMENT_GRIDS = {
+    # 9 panels per chunk at chunk7, so a cell's 20 reps span three chunks
+    "p3": ExperimentGrid(rho_values=(0.0, 0.5), b_multipliers=(0.5, 2.0),
+                         base_b=(0.8, 0.4, 0.2), n=150, reps=20, seed=33),
+    "p1": ExperimentGrid(rho_values=(0.3,), b_multipliers=(1.0, 3.0), base_b=(1.0,),
+                         n=60, reps=10, seed=34),
+    "wide-seed": ExperimentGrid(rho_values=(0.25, 0.6), b_multipliers=(1.0,),
+                                base_b=(0.8, 0.4, 0.2, 0.1), n=150, reps=15,
+                                seed=2**64 + 35),
+}
+
+
+class TestExperiment:
+    @pytest.mark.parametrize("grid", EXPERIMENT_GRIDS.values(), ids=EXPERIMENT_GRIDS.keys())
+    def test_matches_loop(self, grid, chunk_bytes):
+        rows = run_comparison_experiment(grid)
+        expected = loop_experiment(grid)
+        assert len(rows) == len(expected)
+        for row, (rho, mult, name, mean, se) in zip(rows, expected):
+            assert (row.rho, row.multiplier, row.statistic, row.reps) == (
+                rho, mult, name, grid.reps)
+            np.testing.assert_allclose([row.mean, row.se], [mean, se], rtol=TOL, atol=TOL)
 
 
 @settings(max_examples=200, deadline=None)
