@@ -28,8 +28,6 @@ from .errors import (
     InvalidConfigError,
     InvalidInputError,
     MafkitError,
-    ParameterPoleError,
-    SingularMatrixError,
 )
 from .inference import (ExperimentGrid, power_curve, resample_maf, run_comparison_experiment,
                         select_num_factors, signal_presence_test)
@@ -51,7 +49,6 @@ _DATA_ERRORS = (
     DegenerateSeriesError,
     DegenerateResidualError,
 )
-_NUMERICAL_ERRORS = (SingularMatrixError, ParameterPoleError)
 
 
 def ingest_csv(path, standardize: bool = False) -> TimeSeriesPanel:
@@ -133,10 +130,17 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _quote(cell: str) -> str:
+    # RFC 4180 quoting, which `csv.reader` reads back unchanged
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
+    lines = [",".join(map(_quote, header))]
     for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
+        lines.append(",".join(_quote(cell) if isinstance(cell, str) else _fmt(cell) for cell in row))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -455,9 +459,6 @@ def main(argv=None) -> int:
     except _DATA_ERRORS as exc:
         print(_error_payload(exc, EXIT_DATA))
         return EXIT_DATA
-    except _NUMERICAL_ERRORS as exc:
-        print(_error_payload(exc, EXIT_NUMERICAL))
-        return EXIT_NUMERICAL
     except MafkitError as exc:
         print(_error_payload(exc, EXIT_NUMERICAL))
         return EXIT_NUMERICAL

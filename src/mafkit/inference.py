@@ -35,7 +35,7 @@ from .errors import (
 from .maf import compute_maf, compute_pca, maf_stack
 from .panel import as_panel
 from .simulate import SignalSpec, gen_signal, gen_sn_stack, noise_cholesky
-from .smoothing import SmootherConfig, empirical_snr, hat_matrix, smooth_columns, snr_columns
+from .smoothing import SmootherConfig, empirical_snr, smooth_columns, snr_columns
 
 __all__ = [
     "ResamplingEnvelope",
@@ -259,7 +259,6 @@ def resample_maf(panel, B: int, block_len: int = 1,
 
     original = compute_maf(panel)
     fitted, residuals, _ = smooth_columns(panel.values, cfg)
-    hat, _ = hat_matrix(n, cfg)
 
     orig_factors = original.factors[:, :n_factors]
     orig_centered = orig_factors - orig_factors.mean(axis=0)
@@ -292,7 +291,7 @@ def resample_maf(panel, B: int, block_len: int = 1,
         replicate_factors=rep_factors,
         replicate_coefficients=rep_coefs,
         pointwise_bands=bands,
-        original_smoothed=(hat @ orig_factors).T,
+        original_smoothed=smooth_columns(orig_factors, cfg)[0].T,
         original_factors=orig_factors.T,
         alpha=alpha,
         block_len=block_len,

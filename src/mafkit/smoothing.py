@@ -1,10 +1,13 @@
 """Local linear regression (LOESS) with tricube weights, plus the empirical SNR.
 
 Rows are treated as equally spaced, so the smoother is a fixed linear map
-y -> L y for a given (n, config). The hat matrix L is built once and cached;
-its trace is the smoother's degrees of freedom, needed for residual
-inflation in the resampling test. `snr_columns` evaluates the SNR of many
-columns with one product by L; `empirical_snr` is its one-column case.
+y -> L y for a given (n, config). Row i's window is the k rows around it,
+shifted inward at the ends, so L is filled from a (k, k) table of local-fit
+weights, one row per offset of i in its window. Only the most recent L is
+kept. Its trace is the smoother's degrees of freedom, needed for residual
+inflation in the resampling test. `smooth_columns` and `snr_columns` are the
+two ways to apply L, to many columns at once; `loess_smooth` and
+`empirical_snr` are their one-column cases.
 """
 
 from __future__ import annotations
@@ -51,34 +54,31 @@ class SmoothResult:
     df: float
 
 
-@lru_cache(maxsize=64)
-def _hat_matrix(n: int, span_fraction: float, degree: int) -> tuple[np.ndarray, float]:
-    cfg = SmootherConfig(span_fraction=span_fraction, degree=degree)
+@lru_cache(maxsize=1)
+def _hat_matrix(n: int, cfg: SmootherConfig) -> tuple[np.ndarray, float]:
     k = cfg.window_size(n)
-    if k < degree + 2:
+    if k < cfg.degree + 2:
         raise InsufficientDataError(
-            f"window of {k} points cannot support a degree-{degree} local fit; "
+            f"window of {k} points cannot support a degree-{cfg.degree} local fit; "
             f"increase span_fraction or series length"
         )
-    t = np.arange(n, dtype=float)
+    # Row i's window is its k nearest rows, distance ties broken toward the
+    # lower index: [lo, lo + k) with lo = clip(i - k//2, 0, n - k). Its weights
+    # depend only on the offset i - lo, so each offset's row is fitted once.
+    table = np.empty((k, k))
+    for offset in range(k):
+        x_rel = np.arange(k, dtype=float) - offset
+        d = np.abs(x_rel)
+        w = np.clip(1.0 - (d / d.max()) ** 3, 0.0, 1.0) ** 3
+        x = np.vander(x_rel, N=cfg.degree + 1, increasing=True)
+        xtw = x.T * w
+        # local fit evaluated at the window's own point is the intercept coefficient
+        table[offset] = (np.linalg.pinv(xtw @ x) @ xtw)[0]
     hat = np.zeros((n, n))
     for i in range(n):
-        dist = np.abs(t - t[i])
-        # k nearest neighbors; stable sort breaks distance ties toward lower index
-        window = np.sort(np.argsort(dist, kind="stable")[:k])
-        d = dist[window]
-        h = d.max()
-        w = np.clip(1.0 - (d / h) ** 3, 0.0, 1.0) ** 3
-        x = np.vander(t[window] - t[i], N=degree + 1, increasing=True)
-        xtw = x.T * w
-        # local fit evaluated at t[i] is the intercept coefficient
-        hat[i, window] = (np.linalg.pinv(xtw @ x) @ xtw)[0]
+        lo = min(max(i - k // 2, 0), n - k)
+        hat[i, lo:lo + k] = table[i - lo]
     return hat, float(np.trace(hat))
-
-
-def hat_matrix(n: int, cfg: SmootherConfig) -> tuple[np.ndarray, float]:
-    """Cached (L, trace L) for smoothing length-n equally spaced series."""
-    return _hat_matrix(n, cfg.span_fraction, cfg.degree)
 
 
 def loess_smooth(series, cfg: SmootherConfig = SmootherConfig()) -> SmoothResult:
@@ -86,20 +86,19 @@ def loess_smooth(series, cfg: SmootherConfig = SmootherConfig()) -> SmoothResult
 
     Each point is fit from its `ceil(span_fraction * n)` nearest neighbors
     with tricube weights scaled by the window radius; windows become
-    one-sided near the edges.
+    one-sided near the edges. This is the one-column `smooth_columns`.
     """
-    y = np.asarray(series, dtype=float).ravel()
-    if not np.all(np.isfinite(y)):
-        raise InvalidInputError("series contains non-finite values")
-    hat, df = hat_matrix(y.size, cfg)
-    fitted = hat @ y
-    return SmoothResult(fitted=fitted, residuals=y - fitted, df=df)
+    y = np.asarray(series, dtype=float).reshape(-1, 1)
+    fitted, residuals, df = smooth_columns(y, cfg)
+    return SmoothResult(fitted=fitted[:, 0], residuals=residuals[:, 0], df=df)
 
 
 def smooth_columns(values: np.ndarray, cfg: SmootherConfig) -> tuple[np.ndarray, np.ndarray, float]:
     """Smooth every column of an (n, p) array at once; returns (fitted, residuals, df)."""
     values = np.asarray(values, dtype=float)
-    hat, df = hat_matrix(values.shape[0], cfg)
+    if not np.all(np.isfinite(values)):
+        raise InvalidInputError("series contains non-finite values")
+    hat, df = _hat_matrix(values.shape[0], cfg)
     fitted = hat @ values
     return fitted, values - fitted, df
 
@@ -122,7 +121,7 @@ def snr_columns(values, cfg: SmootherConfig = SmootherConfig()) -> np.ndarray:
         raise InvalidInputError(f"expected an (n, c) array of series, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise InvalidInputError("series contains non-finite values")
-    hat, _ = hat_matrix(values.shape[0], cfg)
+    hat, _ = _hat_matrix(values.shape[0], cfg)
     fitted = hat @ values
     sd_resid = (values - fitted).std(axis=0)
     if np.any(sd_resid <= 1e-12):

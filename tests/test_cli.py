@@ -1,5 +1,8 @@
+import argparse
+import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 
 import mafkit
 from mafkit import CsvParseError, __version__
-from mafkit.cli import _write_csv, ingest_csv, main
+from mafkit.cli import _write_csv, build_parser, ingest_csv, main
 from mafkit.datasets import example_panel_path
 
 
@@ -107,6 +110,18 @@ class TestCliCommands:
         assert meta["version"] == __version__
         assert meta["seed"] == 0
         assert meta["config"]["command"] == "decompose"
+
+    def test_labels_with_commas_are_quoted(self, tmp_path):
+        path = tmp_path / "comma.csv"
+        values = np.random.default_rng(0).standard_normal((30, 2))
+        rows = [f"{i},{float(a)!r},{float(b)!r}" for i, (a, b) in enumerate(values)]
+        path.write_text('t,"a,b",c\n' + "\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        assert main(["decompose", "--input", str(path), "--output", str(out)]) == 0
+        with open(out / "coefficients.csv", newline="") as fh:
+            cells = list(csv.reader(fh))
+        assert all(len(row) == 5 for row in cells)
+        assert [row[0] for row in cells] == ["series", "a,b", "c"]
 
     def test_decompose_factors_round_trip(self, tmp_path):
         out = tmp_path / "out"
@@ -258,9 +273,9 @@ def test_import_does_not_load_scipy():
     assert out.strip() == "[]"
 
 
-# plain identifiers: `_write_csv` writes every cell unquoted
-LABEL = st.text("abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=6).filter(
-    lambda label: label != "t")
+# `ingest_csv` strips header cells, so labels carry no outer whitespace
+LABEL = st.text('abcdefghijklmnopqrstuvwxyz0123456789_," ', min_size=1, max_size=6).filter(
+    lambda label: label != "t" and label == label.strip())
 
 
 @st.composite
@@ -288,3 +303,18 @@ def test_write_then_ingest_round_trips(tmp_path_factory, data):
     assert panel.labels == tuple(labels)
     np.testing.assert_array_equal(panel.time, time)
     np.testing.assert_array_equal(panel.values, values)
+
+
+def test_readme_flag_table_matches_parser():
+    # README lists every flag but --output and --seed, in declaration order
+    parser = build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    declared = {
+        name: [action.option_strings[0] for action in sub._actions
+               if action.option_strings
+               and action.option_strings[0] not in ("-h", "--output", "--seed")]
+        for name, sub in commands.choices.items()
+    }
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` +\| (.*) \|$", readme, flags=re.MULTILINE)
+    assert {name: re.findall(r"`([^`]+)`", flags) for name, flags in rows} == declared

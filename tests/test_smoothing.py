@@ -9,6 +9,7 @@ from mafkit import (
     loess_smooth,
 )
 from mafkit.errors import InsufficientDataError
+from mafkit.smoothing import _hat_matrix
 
 
 def brute_force_loess(y, span_fraction, degree):
@@ -29,6 +30,31 @@ def brute_force_loess(y, span_fraction, degree):
         beta, *_ = np.linalg.lstsq(x * sw[:, None], y[window] * sw, rcond=None)
         fitted[i] = beta[0]
     return fitted
+
+
+def argsort_hat_matrix(n, span_fraction, degree):
+    """Reference L: each row's window found by a stable argsort of distances."""
+    cfg = SmootherConfig(span_fraction=span_fraction, degree=degree)
+    k = cfg.window_size(n)
+    if k < degree + 2:
+        raise InsufficientDataError(
+            f"window of {k} points cannot support a degree-{degree} local fit; "
+            f"increase span_fraction or series length"
+        )
+    t = np.arange(n, dtype=float)
+    hat = np.zeros((n, n))
+    for i in range(n):
+        dist = np.abs(t - t[i])
+        # k nearest neighbors; stable sort breaks distance ties toward lower index
+        window = np.sort(np.argsort(dist, kind="stable")[:k])
+        d = dist[window]
+        h = d.max()
+        w = np.clip(1.0 - (d / h) ** 3, 0.0, 1.0) ** 3
+        x = np.vander(t[window] - t[i], N=degree + 1, increasing=True)
+        xtw = x.T * w
+        # local fit evaluated at t[i] is the intercept coefficient
+        hat[i, window] = (np.linalg.pinv(xtw @ x) @ xtw)[0]
+    return hat, float(np.trace(hat))
 
 
 class TestLoessSmooth:
@@ -128,3 +154,26 @@ class TestEmpiricalSnr:
         rng = np.random.default_rng(9)
         y = rng.standard_normal(200)
         assert empirical_snr(2.5 * y) == pytest.approx(empirical_snr(y), rel=1e-12)
+
+
+class TestHatMatrix:
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    @pytest.mark.parametrize("span", [0.1, 0.25, 0.4, 0.5, 1.0])
+    def test_offset_table_matches_argsort_windows(self, span, degree):
+        cfg = SmootherConfig(span_fraction=span, degree=degree)
+        for n in [*range(4, 41), 61, 150, 151, 1000]:
+            try:
+                expected, expected_df = argsort_hat_matrix(n, span, degree)
+            except InsufficientDataError:
+                with pytest.raises(InsufficientDataError):
+                    _hat_matrix(n, cfg)
+                continue
+            hat, df = _hat_matrix(n, cfg)
+            assert np.array_equal(hat, expected), (n, span, degree)
+            assert df == expected_df, (n, span, degree)
+
+    def test_one_hat_kept(self):
+        rng = np.random.default_rng(5)
+        loess_smooth(rng.standard_normal(50))
+        loess_smooth(rng.standard_normal(70))
+        assert _hat_matrix.cache_info().currsize == 1
