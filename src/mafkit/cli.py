@@ -3,14 +3,21 @@
 Commands: decompose, test, resample, select, simulate, power. Matrices and
 time series are written as CSV (floats at full round-trip precision),
 reports as JSON; every run writes its configuration, seed and library
-version next to the artifacts. Writes are atomic (temp file + rename) and
-contain no timestamps, so reruns with the same arguments are byte-identical.
+version next to the artifacts. Every CSV goes through one writer,
+`_write_csv`, which takes the columns as blocks (string lists and float
+arrays) and formats each row with one template. Rows are streamed into a
+temp file beside the target, which is then renamed over it, so the target
+holds either its old content or the whole new file. Artifacts contain no
+timestamps, so reruns with the same arguments are byte-identical. `main`
+creates the output directory before a command runs; a path that cannot be
+a directory is a config error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -113,16 +120,13 @@ def ingest_csv(path, standardize: bool = False) -> TimeSeriesPanel:
     return TimeSeriesPanel(values=values, labels=tuple(labels), time=time)
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _atomic_write(path: Path, pieces) -> None:
+    # the pieces stream into a temp file beside `path`, which replaces
+    # `path` only once every piece is written
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -137,15 +141,30 @@ def _quote(cell: str) -> str:
     return cell
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(map(_quote, header))]
-    for row in rows:
-        lines.append(",".join(_quote(cell) if isinstance(cell, str) else _fmt(cell) for cell in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], *blocks) -> None:
+    """Write a CSV whose columns are `blocks`, from left to right.
+
+    A list of str is one column of quoted cells; a float array is one
+    column if 1-D, or one column per array column if 2-D. Floats are
+    written with `%.17g`, which round-trips every finite double.
+    """
+    columns, template = [], []
+    for block in blocks:
+        if isinstance(block, list):
+            columns.append([_quote(cell) for cell in block])
+            template.append("%s")
+        else:
+            block = np.asarray(block, dtype=float)
+            block_columns = (block[:, None] if block.ndim == 1 else block).T.tolist()
+            columns += block_columns
+            template += ["%.17g"] * len(block_columns)
+    row = ",".join(template) + "\n"
+    _atomic_write(path, itertools.chain([",".join(map(_quote, header)) + "\n"],
+                                        (row % cells for cells in zip(*columns))))
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -181,31 +200,14 @@ def _cmd_decompose(args) -> None:
     maf_cols = [f"maf_{j + 1}" for j in range(p)]
     pca_cols = [f"pca_{j + 1}" for j in range(p)]
 
-    _write_csv(
-        out / "coefficients.csv",
-        ["series"] + maf_cols + pca_cols,
-        (
-            [label] + list(maf.coefficients[i]) + list(pca.coefficients[i])
-            for i, label in enumerate(panel.column_labels())
-        ),
-    )
-    t = _time_column(panel)
-    _write_csv(
-        out / "factors.csv",
-        ["t"] + maf_cols + pca_cols,
-        (
-            [t[i]] + list(maf.factors[i]) + list(pca.factors[i])
-            for i in range(panel.n)
-        ),
-    )
-    _write_csv(
-        out / "spectrum.csv",
-        ["factor", "maf_autocorrelation", "maf_diff_eigenvalue", "pca_variance"],
-        (
-            [str(j + 1), maf.autocorrelations[j], maf.diff_eigenvalues[j], pca.variances[j]]
-            for j in range(p)
-        ),
-    )
+    _write_csv(out / "coefficients.csv", ["series"] + maf_cols + pca_cols,
+               list(panel.column_labels()), maf.coefficients, pca.coefficients)
+    _write_csv(out / "factors.csv", ["t"] + maf_cols + pca_cols,
+               _time_column(panel), maf.factors, pca.factors)
+    _write_csv(out / "spectrum.csv",
+               ["factor", "maf_autocorrelation", "maf_diff_eigenvalue", "pca_variance"],
+               [str(j + 1) for j in range(p)],
+               np.column_stack([maf.autocorrelations, maf.diff_eigenvalues, pca.variances]))
     meta = _run_meta(args)
     meta["degenerate_factor_pairs"] = [list(pair) for pair in maf.degenerate_pairs]
     _write_json(out / "run.json", meta)
@@ -240,43 +242,24 @@ def _cmd_resample(args) -> None:
     )
     out = Path(args.output)
     t = _time_column(panel)
-    k = envelope.replicate_factors.shape[0]
+    k, B = envelope.replicate_factors.shape[:2]
 
-    header = ["t"]
-    for j in range(k):
-        name = f"maf_{j + 1}"
-        header += [f"{name}_lower", f"{name}_upper", f"{name}_smoothed", f"{name}_original"]
-    rows = []
-    for i in range(panel.n):
-        row = [t[i]]
-        for j in range(k):
-            row += [
-                envelope.pointwise_bands[j, i, 0],
-                envelope.pointwise_bands[j, i, 1],
-                envelope.original_smoothed[j, i],
-                envelope.original_factors[j, i],
-            ]
-        rows.append(row)
-    _write_csv(out / "bands.csv", header, rows)
+    header = ["t"] + [f"maf_{j + 1}_{col}" for j in range(k)
+                      for col in ("lower", "upper", "smoothed", "original")]
+    # (k, n, 4) per-factor column groups, laid side by side as (n, 4k)
+    bands = np.concatenate([envelope.pointwise_bands, envelope.original_smoothed[..., None],
+                            envelope.original_factors[..., None]], axis=2)
+    _write_csv(out / "bands.csv", header, t, bands.transpose(1, 0, 2).reshape(panel.n, 4 * k))
 
+    replicates = [str(b) for b in range(B)]
     for j in range(k):
-        _write_csv(
-            out / f"replicates_maf_{j + 1}.csv",
-            ["replicate"] + [_fmt(x) for x in t],
-            (
-                [str(b)] + list(envelope.replicate_factors[j, b])
-                for b in range(envelope.replicate_factors.shape[1])
-            ),
-        )
-    _write_csv(
-        out / "replicate_coefficients.csv",
-        ["factor", "replicate"] + [f"w_{i + 1}" for i in range(panel.p)],
-        (
-            [str(j + 1), str(b)] + list(envelope.replicate_coefficients[j, b])
-            for j in range(k)
-            for b in range(envelope.replicate_coefficients.shape[1])
-        ),
-    )
+        _write_csv(out / f"replicates_maf_{j + 1}.csv",
+                   ["replicate"] + ["%.17g" % x for x in t.tolist()],
+                   replicates, envelope.replicate_factors[j])
+    _write_csv(out / "replicate_coefficients.csv",
+               ["factor", "replicate"] + [f"w_{i + 1}" for i in range(panel.p)],
+               [str(j + 1) for j in range(k) for _ in range(B)], replicates * k,
+               envelope.replicate_coefficients.reshape(k * B, panel.p))
     meta = _run_meta(args)
     meta["retries"] = envelope.retries
     _write_json(out / "run.json", meta)
@@ -305,14 +288,12 @@ def _cmd_simulate(args) -> None:
     )
     rows = run_comparison_experiment(grid)
     out = Path(args.output)
+    mean, se = np.array([[row.mean, row.se] for row in rows]).T
     _write_csv(
         out / "experiment.csv",
         ["rho", "multiplier", "statistic", "mean", "se", "mean_minus_2se", "mean_plus_2se", "reps"],
-        (
-            [row.rho, row.multiplier, row.statistic, row.mean, row.se,
-             row.mean - 2 * row.se, row.mean + 2 * row.se, str(row.reps)]
-            for row in rows
-        ),
+        np.array([[row.rho, row.multiplier] for row in rows]), [row.statistic for row in rows],
+        np.column_stack([mean, se, mean - 2 * se, mean + 2 * se]), [str(row.reps) for row in rows],
     )
     _write_json(out / "run.json", _run_meta(args))
 
@@ -325,11 +306,8 @@ def _cmd_power(args) -> None:
         seed=args.seed, cfg=_smoother(args), statistic=args.statistic,
     )
     out = Path(args.output)
-    _write_csv(
-        out / "power.csv",
-        ["multiplier", "power"],
-        ([pt.multiplier, pt.power] for pt in points),
-    )
+    _write_csv(out / "power.csv", ["multiplier", "power"],
+               np.array([[pt.multiplier, pt.power] for pt in points]))
     _write_json(out / "run.json", _run_meta(args))
 
 
@@ -452,6 +430,10 @@ def main(argv=None) -> int:
             args.seed = _default_seed()
         if args.seed < 0:
             raise InvalidConfigError(f"seed must be non-negative, got {args.seed}")
+        try:
+            args.output.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InvalidConfigError(f"cannot create --output: {exc}") from None
         args.func(args)
     except InvalidConfigError as exc:
         print(_error_payload(exc, EXIT_CONFIG))

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import mafkit
 from mafkit import CsvParseError, __version__
-from mafkit.cli import _write_csv, build_parser, ingest_csv, main
+from mafkit.cli import _atomic_write, _quote, _write_csv, build_parser, ingest_csv, main
 from mafkit.datasets import example_panel_path
 
 
@@ -136,11 +137,22 @@ class TestCliCommands:
         np.testing.assert_array_equal(reread.values, expected)
 
     def test_rerun_byte_identical(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        args = ["test", "--input", str(example_panel_path()), "-B", "199", "--seed", "4"]
-        assert main(args + ["--output", str(out1)]) == 0
-        assert main(args + ["--output", str(out2)]) == 0
-        assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+        panel = str(example_panel_path())
+        commands = {
+            "test": ["test", "--input", panel, "-B", "199", "--seed", "4"],
+            "resample": ["resample", "--input", panel, "-B", "20", "--block-len", "5",
+                         "--factors", "2", "--seed", "4"],
+            "power": ["power", "--multipliers", "0", "1", "-B", "50", "-n", "60", "--seed", "4"],
+        }
+        for name, args in commands.items():
+            out1, out2 = tmp_path / name / "a", tmp_path / name / "b"
+            assert main(args + ["--output", str(out1)]) == 0
+            assert main(args + ["--output", str(out2)]) == 0
+            files = sorted(f.name for f in out1.iterdir())
+            assert files == sorted(f.name for f in out2.iterdir())
+            assert files
+            for f in files:
+                assert (out1 / f).read_bytes() == (out2 / f).read_bytes(), (name, f)
 
     def test_test_report_schema(self, tmp_path):
         out = tmp_path / "out"
@@ -239,6 +251,18 @@ class TestCliCommands:
         assert err["error"]["type"] == "CsvParseError"
         assert err["error"]["exit_code"] == 3
 
+    def test_unusable_output_is_a_config_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        code = main([
+            "decompose", "--input", str(example_panel_path()), "--output", str(blocker / "out"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == "InvalidConfigError"
+        assert err["error"]["exit_code"] == 2
+        assert blocker.read_text() == "not a directory\n"
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = main([
             "test", "--input", str(example_panel_path()),
@@ -274,7 +298,7 @@ def test_import_does_not_load_scipy():
 
 
 # `ingest_csv` strips header cells, so labels carry no outer whitespace
-LABEL = st.text('abcdefghijklmnopqrstuvwxyz0123456789_," ', min_size=1, max_size=6).filter(
+LABEL = st.text('abcdefghijklmnopqrstuvwxyz0123456789_,"% ', min_size=1, max_size=6).filter(
     lambda label: label != "t" and label == label.strip())
 
 
@@ -303,6 +327,72 @@ def test_write_then_ingest_round_trips(tmp_path_factory, data):
     assert panel.labels == tuple(labels)
     np.testing.assert_array_equal(panel.time, time)
     np.testing.assert_array_equal(panel.values, values)
+
+
+# The per-cell writer that `_write_csv` replaced, kept verbatim as its
+# reference (`_atomic_write` takes any iterable of text, and a str is one)
+def _fmt(x) -> str:
+    return format(float(x), ".17g")
+
+
+def reference_write_csv(path: Path, header: list[str], rows) -> None:
+    lines = [",".join(map(_quote, header))]
+    for row in rows:
+        lines.append(",".join(_quote(cell) if isinstance(cell, str) else _fmt(cell) for cell in row))
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, sys.float_info.max,
+                     -sys.float_info.max, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+CELL = st.text(',"%\r\n a1.é€', max_size=6)
+
+
+@st.composite
+def csv_blocks(draw):
+    """1-40 rows as a header plus column blocks in any order: string lists,
+    1-D float arrays and 2-D float arrays."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    blocks = []
+    for kind in draw(st.lists(st.sampled_from(["str", "1-D", "2-D"]), min_size=1, max_size=5)):
+        if kind == "str":
+            blocks.append(draw(st.lists(CELL, min_size=n, max_size=n)))
+            continue
+        shape = (n,) if kind == "1-D" else (n, draw(st.integers(min_value=1, max_value=3)))
+        blocks.append(draw(arrays(np.float64, shape, elements=FINITE)))
+    rows = [
+        [cell for block in blocks
+         for cell in ([block[i]] if isinstance(block, list) or block.ndim == 1 else block[i])]
+        for i in range(n)
+    ]
+    header = draw(st.lists(CELL, min_size=len(rows[0]), max_size=len(rows[0])))
+    return header, blocks, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=csv_blocks())
+def test_block_writer_matches_per_cell_writer(tmp_path_factory, data):
+    header, blocks, rows = data
+    out = tmp_path_factory.mktemp("writers")
+    _write_csv(out / "blocks.csv", header, *blocks)
+    reference_write_csv(out / "cells.csv", header, rows)
+    assert (out / "blocks.csv").read_bytes() == (out / "cells.csv").read_bytes()
+
+
+def test_atomic_write_keeps_the_old_file_when_a_piece_fails(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+
+    def pieces():
+        yield "new,"
+        raise RuntimeError("row formatting failed")
+
+    with pytest.raises(RuntimeError, match="row formatting failed"):
+        _atomic_write(target, pieces())
+    assert target.read_text() == "old\n"
+    assert list(tmp_path.glob(".out.csv.*.tmp")) == []
 
 
 def test_readme_flag_table_matches_parser():
