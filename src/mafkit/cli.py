@@ -38,7 +38,7 @@ from .errors import (
 )
 from .inference import (ExperimentGrid, power_curve, resample_maf, run_comparison_experiment,
                         select_num_factors, signal_presence_test)
-from .maf import compute_maf, compute_pca
+from .maf import compute_maf, compute_pca, standardize_columns
 from .oracles import SnModelSpec
 from .panel import TimeSeriesPanel
 from .simulate import SignalSpec, gen_signal
@@ -113,10 +113,7 @@ def ingest_csv(path, standardize: bool = False) -> TimeSeriesPanel:
     time = parsed[:, 0] if has_time else None
     values = parsed[:, 1:] if has_time else parsed
     if standardize:
-        values = values - values.mean(axis=0)
-        scale = values.std(axis=0, ddof=1)
-        scale[scale == 0.0] = 1.0
-        values = values / scale
+        values = standardize_columns(values)
     return TimeSeriesPanel(values=values, labels=tuple(labels), time=time)
 
 
@@ -439,8 +436,10 @@ def main(argv=None) -> int:
         print(_error_payload(exc, EXIT_CONFIG))
         return EXIT_CONFIG
     except _DATA_ERRORS as exc:
-        print(_error_payload(exc, EXIT_DATA))
-        return EXIT_DATA
+        # a command that reads no panel has no data to blame: its bad values are flags
+        code = EXIT_DATA if "input" in vars(args) else EXIT_CONFIG
+        print(_error_payload(exc, code))
+        return code
     except MafkitError as exc:
         print(_error_payload(exc, EXIT_NUMERICAL))
         return EXIT_NUMERICAL

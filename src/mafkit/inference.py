@@ -32,7 +32,7 @@ from .errors import (
     InvalidInputError,
     SingularMatrixError,
 )
-from .maf import compute_maf, compute_pca, maf_stack
+from .maf import compute_maf, compute_pca, lag1_autocorrelation, maf_stack
 from .panel import as_panel
 from .simulate import SignalSpec, gen_signal, gen_sn_stack, noise_cholesky
 from .smoothing import SmootherConfig, empirical_snr, smooth_columns, snr_columns
@@ -430,7 +430,7 @@ def power_curve(spec, signal, multipliers, B: int, alpha: float = 0.05,
             if statistic == "snr":
                 out[start:stop] = _factor_snrs(reps.factors, cfg)[0]
             else:
-                out[start:stop] = 1.0 - reps.diff_eigenvalues[:, 0] / 2.0
+                out[start:stop] = lag1_autocorrelation(reps.diff_eigenvalues[:, 0])
         return out
 
     threshold = float(np.quantile(stats(np.zeros(p), 0), 1.0 - alpha))

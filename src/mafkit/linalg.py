@@ -7,7 +7,9 @@ reported magnitudes, never directions.
 
 `covariance_stack`, `sym_eig` and `inverse_sqrt_stack` also take stacks of
 panels or matrices on leading axes, for the batched MAF kernel, and
-`spd_singular` is the one rule every singularity check applies.
+`spd_singular` is the one rule every singularity check applies. `_fix_signs`
+is the one orientation of eigenvectors and of unit weight vectors
+(`unit_direction`).
 """
 
 from __future__ import annotations
@@ -91,6 +93,17 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     signs = np.sign(np.take_along_axis(vectors, idx, axis=-2))
     signs[signs == 0] = 1.0
     return vectors * signs
+
+
+def unit_direction(v) -> np.ndarray:
+    """Unit-normalize a vector, or each column of a matrix, and orient it as
+    `sym_eig` does; a zero vector raises InvalidInputError."""
+    v = np.asarray(v, dtype=float)
+    columns = v.reshape(v.shape[0], -1)
+    norms = np.linalg.norm(columns, axis=0)
+    if np.any(norms == 0.0):
+        raise InvalidInputError("cannot normalize a zero vector")
+    return _fix_signs(columns / norms).reshape(v.shape)
 
 
 def sym_eig(m, order: str = "descending") -> EigenPairs:

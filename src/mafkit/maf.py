@@ -7,7 +7,9 @@ the eigenvectors back through the whitening transform. The factor with the
 smallest differenced-covariance eigenvalue K has the largest lag-1
 autocorrelation r = 1 - K/2 among all linear combinations of the input
 series; successive factors maximize autocorrelation subject to being
-uncorrelated with the earlier ones.
+uncorrelated with the earlier ones. `lag1_autocorrelation` is the one
+autocorrelation formula and `standardize_columns` the one standardization
+(PCA and the CLI's `--standardize`).
 
 `maf_stack` runs this algorithm over a stack of panels of one shape with
 batched numpy linear algebra (Switzer & Green 1984); `compute_maf` is its
@@ -26,7 +28,6 @@ from .errors import DegenerateSeriesError, InsufficientDataError, InvalidInputEr
 from .linalg import (
     covariance_stack,
     inverse_sqrt_stack,
-    lag1_diff_covariance,
     require_spd,
     sample_covariance,
     spd_singular,
@@ -184,7 +185,7 @@ def compute_maf(panel) -> MafDecomposition:
         coefficients=coefficients,
         factors=factors,
         diff_eigenvalues=k,
-        autocorrelations=1.0 - k / 2.0,
+        autocorrelations=lag1_autocorrelation(k),
         degenerate_pairs=degenerate,
     )
 
@@ -198,13 +199,10 @@ def compute_pca(panel, standardize: bool = True) -> PcaDecomposition:
     optionally scaled panel projected on the eigenvectors.
     """
     panel = as_panel(panel)
-    x = panel.values - panel.values.mean(axis=0)
     if panel.n < 2:
         raise InsufficientDataError(f"PCA needs at least 2 rows, got {panel.n}")
-    if standardize:
-        scale = x.std(axis=0, ddof=1)
-        scale[scale == 0.0] = 1.0
-        x = x / scale
+    x = panel.values
+    x = standardize_columns(x) if standardize else x - x.mean(axis=0)
     eig = sym_eig(sample_covariance(x), order="descending")
     return PcaDecomposition(
         coefficients=eig.vectors,
@@ -214,12 +212,26 @@ def compute_pca(panel, standardize: bool = True) -> PcaDecomposition:
     )
 
 
+def standardize_columns(values: np.ndarray) -> np.ndarray:
+    """Center each column and scale it by its ddof=1 standard deviation; a
+    zero-variance column is left unscaled, so rank-deficient panels decompose."""
+    x = values - values.mean(axis=0)
+    scale = x.std(axis=0, ddof=1)
+    scale[scale == 0.0] = 1.0
+    return x / scale
+
+
+def lag1_autocorrelation(diff_var, var=1.0):
+    """r = 1 - Var(diff y) / (2 Var(y)), the lag-1 autocorrelation MAF maximizes;
+    1 - K/2 for a whitened factor with differenced-covariance eigenvalue K."""
+    return 1.0 - diff_var / (2.0 * var)
+
+
 def factor_autocorrelation(series) -> float:
     """Lag-1 autocorrelation of one series via the variance-ratio identity.
 
-    Computed as 1 - Var(diff(y)) / (2 Var(y)) with centered sample
-    variances, which is exactly the quantity the MAF eigenproblem
-    maximizes over linear combinations; the result is clamped to [-1, 1].
+    `lag1_autocorrelation` of the centered sample variances of the series
+    and of its differences, clamped to [-1, 1].
 
     Raises
     ------
@@ -233,34 +245,22 @@ def factor_autocorrelation(series) -> float:
         raise InsufficientDataError(f"autocorrelation needs at least 3 points, got {y.size}")
     if not np.all(np.isfinite(y)):
         raise InvalidInputError("series contains non-finite values")
-    return _variance_ratio_autocorrelation(y.var(ddof=1), np.diff(y).var(ddof=1), "series")
+    var = y.var(ddof=1)
+    if var <= 0.0:
+        raise DegenerateSeriesError("series is constant; autocorrelation undefined")
+    return float(np.clip(lag1_autocorrelation(np.diff(y).var(ddof=1), var), -1.0, 1.0))
 
 
 def combination_autocorrelation(panel, weights) -> float:
-    """Lag-1 autocorrelation of the combined series (weights' panel rows).
-
-    Same variance-ratio definition as `factor_autocorrelation`, evaluated
-    through the panel's covariance matrices so many weight vectors can be
-    compared against factors on an identical footing.
-    """
+    """Lag-1 autocorrelation of the combined series `panel.values @ weights`,
+    by `factor_autocorrelation`."""
     panel = as_panel(panel)
     w = np.asarray(weights, dtype=float).ravel()
     if w.shape != (panel.p,):
         raise InvalidInputError(f"expected weight vector of length {panel.p}, got {w.shape}")
     if not np.any(w != 0.0):
         raise InvalidInputError("weights must be nonzero")
-    return _variance_ratio_autocorrelation(
-        float(w @ sample_covariance(panel) @ w),
-        float(w @ lag1_diff_covariance(panel) @ w),
-        "combined series",
-    )
-
-
-def _variance_ratio_autocorrelation(var: float, dvar: float, what: str) -> float:
-    # 1 - Var(diff y) / (2 Var(y)), clamped to [-1, 1]: the quantity MAF maximizes.
-    if var <= 0.0:
-        raise DegenerateSeriesError(f"{what} is constant; autocorrelation undefined")
-    return float(np.clip(1.0 - dvar / (2.0 * var), -1.0, 1.0))
+    return factor_autocorrelation(panel.values @ w)
 
 
 __all__ = [

@@ -4,6 +4,10 @@ These are exact expressions for optimal combination weights, SNR values,
 and eigenstructure under fully specified population models. They serve two
 roles: analysis tools in their own right, and independent anchors against
 which the sample estimators are validated.
+
+Only input checks and the sign convention are shared: one equicorrelated
+domain check (`_equicorrelated_sigma`), one noise-covariance check
+(`validated_noise_cov`), one orientation (`linalg.unit_direction`).
 """
 
 from __future__ import annotations
@@ -13,37 +17,40 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ParameterPoleError
-from .linalg import EigenPairs, assert_spd, inverse_sqrt, sym_eig
+from .linalg import EigenPairs, assert_spd, inverse_sqrt, sym_eig, unit_direction
 
 _POLE_RTOL = 1e-12
 
 
-def _unit_direction(v: np.ndarray) -> np.ndarray:
-    """Unit-normalize with the deterministic largest-component-positive sign."""
-    v = np.asarray(v, dtype=float)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise InvalidInputError("cannot normalize a zero vector")
-    v = v / norm
-    pivot = v[np.argmax(np.abs(v))]
-    return v if pivot >= 0 else -v
+def _equicorrelated_sigma(sigma, rho: float, p: int) -> np.ndarray:
+    """Sigma as p positive scales (one shared, or one per series), after
+    checking -1/(p-1) < rho < 1, where equicorrelated noise is positive definite."""
+    sigma = np.asarray(sigma, dtype=float).ravel()
+    if sigma.size == 1:
+        sigma = np.full(p, sigma[0])
+    if sigma.shape != (p,):
+        raise InvalidInputError(f"sigma needs 1 or {p} entries, got {sigma.size}")
+    if np.any(sigma <= 0.0):
+        raise InvalidInputError("all noise scales must be positive")
+    if (p > 1 and rho <= -1.0 / (p - 1)) or not rho < 1.0:  # a NaN rho fails too
+        raise InvalidInputError(f"rho must lie in (-1/(p-1), 1) for p={p}, got {rho}")
+    return sigma
+
+
+def validated_noise_cov(cov, p: int) -> np.ndarray:
+    """`cov` as a symmetric positive definite p x p noise covariance, or raise."""
+    cov = assert_spd(np.asarray(cov, dtype=float), "noise covariance")
+    if cov.shape != (p, p):
+        raise InvalidInputError(f"noise covariance has shape {cov.shape}, expected ({p}, {p})")
+    return cov
 
 
 def equicorrelation_noise_cov(sigma, rho: float, p: int | None = None) -> np.ndarray:
-    """Noise covariance with per-series scales `sigma` and common correlation `rho`."""
-    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    if p is not None and sigma.size == 1:
-        sigma = np.full(p, sigma[0])
-    if np.any(sigma <= 0.0):
-        raise InvalidInputError("all noise scales must be positive")
-    m = sigma.size
-    if m > 1 and rho <= -1.0 / (m - 1):
-        raise InvalidInputError(
-            f"rho={rho} must exceed -1/(p-1) = {-1.0 / (m - 1):.6g} for p={m}"
-        )
-    if rho >= 1.0:
-        raise InvalidInputError(f"rho must be below 1, got {rho}")
-    corr = np.full((m, m), rho)
+    """Noise covariance with per-series scales `sigma` and common correlation `rho`;
+    `p` defaults to the number of scales."""
+    p = np.size(sigma) if p is None else p
+    sigma = _equicorrelated_sigma(sigma, rho, p)
+    corr = np.full((p, p), rho)
     np.fill_diagonal(corr, 1.0)
     return corr * np.outer(sigma, sigma)
 
@@ -70,12 +77,7 @@ class SnModelSpec:
         if b.size < 1 or not np.all(np.isfinite(b)) or not np.any(b != 0.0):
             raise InvalidInputError("signal strength vector must be finite and nonzero")
         object.__setattr__(self, "b", b)
-        cov = assert_spd(np.asarray(self.noise_cov, dtype=float), "noise covariance")
-        if cov.shape[0] != b.size:
-            raise InvalidInputError(
-                f"noise covariance is {cov.shape[0]}x{cov.shape[0]} but b has length {b.size}"
-            )
-        object.__setattr__(self, "noise_cov", cov)
+        object.__setattr__(self, "noise_cov", validated_noise_cov(self.noise_cov, b.size))
         if not (-1.0 < self.k_f <= 1.0):
             raise InvalidInputError(f"k_f must be in (-1, 1], got {self.k_f}")
         if not (-1.0 < self.k_eps < 1.0):
@@ -92,11 +94,9 @@ class SnModelSpec:
                        k_f: float = 1.0, k_eps: float = 0.0) -> "SnModelSpec":
         """Compact form: common correlation `rho` and per-series scales `sigma`."""
         b = np.asarray(b, dtype=float).ravel()
-        cov = equicorrelation_noise_cov(sigma, rho, p=b.size)
-        sig = np.atleast_1d(np.asarray(sigma, dtype=float))
-        if sig.size == 1:
-            sig = np.full(b.size, sig[0])
-        return cls(b=b, noise_cov=cov, k_f=k_f, k_eps=k_eps, rho=rho, sigma=sig)
+        sigma = _equicorrelated_sigma(sigma, rho, b.size)
+        return cls(b=b, noise_cov=equicorrelation_noise_cov(sigma, rho), k_f=k_f,
+                   k_eps=k_eps, rho=rho, sigma=sigma)
 
     @property
     def p(self) -> int:
@@ -125,10 +125,7 @@ class MultiSignalSpec:
         if np.linalg.matrix_rank(mix) < mix.shape[1]:
             raise InvalidInputError("mixing matrix must have full column rank")
         object.__setattr__(self, "mixing", mix)
-        cov = assert_spd(np.asarray(self.noise_cov, dtype=float), "noise covariance")
-        if cov.shape[0] != mix.shape[0]:
-            raise InvalidInputError("noise covariance does not match mixing matrix rows")
-        object.__setattr__(self, "noise_cov", cov)
+        object.__setattr__(self, "noise_cov", validated_noise_cov(self.noise_cov, mix.shape[0]))
         k = np.asarray(self.k, dtype=float).ravel()
         if k.size != mix.shape[1]:
             raise InvalidInputError(f"need {mix.shape[1]} signal coherences, got {k.size}")
@@ -174,7 +171,7 @@ def snr_of_weights(w, spec: SnModelSpec) -> float:
 
 def population_maf_weights(spec: SnModelSpec) -> np.ndarray:
     """SNR-optimal combination weights: noise_cov^{-1} b, unit-normalized."""
-    return _unit_direction(np.linalg.solve(spec.noise_cov, spec.b))
+    return unit_direction(np.linalg.solve(spec.noise_cov, spec.b))
 
 
 def autocorrelation_from_snr(snr: float, k_f: float, k_eps: float) -> float:
@@ -198,11 +195,7 @@ def signal_correlation_from_snr(snr: float) -> float:
 def _check_model1_params(rho: float, q: int) -> None:
     if not isinstance(q, (int, np.integer)) or q < 1:
         raise InvalidInputError(f"q must be a positive integer, got {q}")
-    p = 2 * q
-    if rho <= -1.0 / (p - 1) or rho >= 1.0:
-        raise InvalidInputError(
-            f"rho={rho} outside (-1/(2q-1), 1) for q={q}"
-        )
+    _equicorrelated_sigma(1.0, rho, 2 * q)
 
 
 def model1_snr(nu: float, b1: float, gamma: float, rho: float, q: int) -> float:
@@ -289,21 +282,11 @@ def model2_maf_weights(b, sigma, rho: float) -> np.ndarray:
     from (sigma, rho), but evaluated without any matrix inversion.
     """
     b = np.asarray(b, dtype=float).ravel()
-    sigma = np.asarray(sigma, dtype=float).ravel()
-    if sigma.size == 1:
-        sigma = np.full(b.size, sigma[0])
-    if sigma.shape != b.shape:
-        raise InvalidInputError("b and sigma must have the same length")
-    if np.any(sigma <= 0.0):
-        raise InvalidInputError("all noise scales must be positive")
     p = b.size
-    if p > 1 and rho <= -1.0 / (p - 1):
-        raise InvalidInputError(f"rho={rho} must exceed -1/(p-1) for p={p}")
-    if rho >= 1.0:
-        raise InvalidInputError(f"rho must be below 1, got {rho}")
+    sigma = _equicorrelated_sigma(sigma, rho, p)
     shrink = rho / (1.0 + rho * (p - 1))
     w = b / sigma ** 2 - shrink * np.sum(b / sigma) / sigma
-    return _unit_direction(w)
+    return unit_direction(w)
 
 
 @dataclass(frozen=True)
@@ -332,13 +315,7 @@ def appendix_closed_form(b, rho: float, sigma=None) -> AppendixClosedForm:
         raise InvalidInputError("closed form needs at least 2 series")
     if not np.any(b != 0.0):
         raise InvalidInputError("signal strength vector must be nonzero")
-    sigma = np.ones(p) if sigma is None else np.asarray(sigma, dtype=float).ravel()
-    if sigma.size == 1:
-        sigma = np.full(p, sigma[0])
-    if sigma.shape != (p,) or np.any(sigma <= 0.0):
-        raise InvalidInputError("sigma must be positive with the same length as b")
-    if rho <= -1.0 / (p - 1) or rho >= 1.0:
-        raise InvalidInputError(f"rho={rho} outside (-1/(p-1), 1) for p={p}")
+    sigma = _equicorrelated_sigma(1.0 if sigma is None else sigma, rho, p)
 
     bs = b / sigma  # standardized signal strengths
     norm2 = float(bs @ bs)
@@ -375,7 +352,7 @@ def appendix_closed_form(b, rho: float, sigma=None) -> AppendixClosedForm:
 
     pairs.sort(key=lambda t: -t[0])
     lam = np.array([pairs[0][0], pairs[1][0]])
-    vecs = np.column_stack([_unit_direction(pairs[0][1]), _unit_direction(pairs[1][1])])
+    vecs = unit_direction(np.column_stack([pairs[0][1], pairs[1][1]]))
 
     # 2x2 reduction in whitened coordinates spanned by the two eigenvectors
     ubar = vecs.mean(axis=0)
@@ -389,7 +366,7 @@ def appendix_closed_form(b, rho: float, sigma=None) -> AppendixClosedForm:
         xy = np.array([mu - d, off])
         xy /= np.linalg.norm(xy)
     w_std = vecs @ (xy / np.sqrt(lam))
-    maf1 = _unit_direction(w_std / sigma)
+    maf1 = unit_direction(w_std / sigma)
 
     equal_scales = np.abs(sigma - sigma[0]).max() <= 1e-12 * sigma[0]
     return AppendixClosedForm(
@@ -409,8 +386,7 @@ def cca_population_weights(spec: MultiSignalSpec) -> np.ndarray:
     gram = spec.mixing.T @ white  # q x p
     sym = white @ spec.mixing @ gram
     eig = sym_eig(sym, order="descending")
-    weights = white @ eig.vectors[:, : spec.q]
-    return np.column_stack([_unit_direction(weights[:, j]) for j in range(spec.q)])
+    return unit_direction(white @ eig.vectors[:, : spec.q])
 
 
 def population_maf_multi(spec: MultiSignalSpec) -> np.ndarray:
@@ -423,8 +399,7 @@ def population_maf_multi(spec: MultiSignalSpec) -> np.ndarray:
     """
     white = inverse_sqrt(spec.panel_cov())
     eig = sym_eig(white @ spec.diff_cov() @ white, order="ascending")
-    weights = white @ eig.vectors[:, : spec.q]
-    return np.column_stack([_unit_direction(weights[:, j]) for j in range(spec.q)])
+    return unit_direction(white @ eig.vectors[:, : spec.q])
 
 
 def subspace_principal_angles(a, b) -> np.ndarray:

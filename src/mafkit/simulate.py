@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSeriesError, InvalidConfigError, InvalidInputError
-from .linalg import assert_spd
-from .oracles import equicorrelation_noise_cov
+from .oracles import equicorrelation_noise_cov, validated_noise_cov
 from .panel import TimeSeriesPanel
 
 SIGNAL_KINDS = ("linear", "quadratic", "sinusoid-mixture", "piecewise-interpolated")
@@ -103,12 +102,8 @@ def noise_cholesky(noise, p: int) -> np.ndarray:
     """
     if isinstance(noise, tuple):
         rho, sigma = noise
-        cov = equicorrelation_noise_cov(sigma, rho, p=p)
-    else:
-        cov = assert_spd(np.asarray(noise, dtype=float), "noise covariance")
-    if cov.shape[0] != p:
-        raise InvalidInputError("noise covariance does not match length of b")
-    return np.linalg.cholesky(cov)
+        return np.linalg.cholesky(equicorrelation_noise_cov(sigma, rho, p=p))
+    return np.linalg.cholesky(validated_noise_cov(noise, p))
 
 
 def gen_sn_panel(f, b, noise, seed, ar_phi: float = 0.0) -> TimeSeriesPanel:

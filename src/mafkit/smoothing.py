@@ -5,9 +5,9 @@ y -> L y for a given (n, config). Row i's window is the k rows around it,
 shifted inward at the ends, so L is filled from a (k, k) table of local-fit
 weights, one row per offset of i in its window. Only the most recent L is
 kept. Its trace is the smoother's degrees of freedom, needed for residual
-inflation in the resampling test. `smooth_columns` and `snr_columns` are the
-two ways to apply L, to many columns at once; `loess_smooth` and
-`empirical_snr` are their one-column cases.
+inflation in the resampling test. `smooth_columns` is the one way to apply
+L, to many columns at once; `snr_columns` takes its fitted values and
+residuals, and `loess_smooth` and `empirical_snr` are one-column cases.
 """
 
 from __future__ import annotations
@@ -119,11 +119,8 @@ def snr_columns(values, cfg: SmootherConfig = SmootherConfig()) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise InvalidInputError(f"expected an (n, c) array of series, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise InvalidInputError("series contains non-finite values")
-    hat, _ = _hat_matrix(values.shape[0], cfg)
-    fitted = hat @ values
-    sd_resid = (values - fitted).std(axis=0)
+    fitted, residuals, _ = smooth_columns(values, cfg)
+    sd_resid = residuals.std(axis=0)
     if np.any(sd_resid <= 1e-12):
         raise DegenerateResidualError(
             "residual standard deviation is numerically zero; empirical SNR undefined"

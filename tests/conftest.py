@@ -2,6 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
+
+# A failing property reports its first shrunk failure and stops: shrinking
+# several distinct failures and explaining each can take minutes.
+# max_examples and deadline stay as each test sets them.
+settings.register_profile(
+    "mafkit",
+    report_multiple_bugs=False,
+    phases=[phase for phase in Phase if phase is not Phase.explain],
+)
+settings.load_profile("mafkit")
 
 
 def random_spd(rng, p, eig_low=0.5, eig_high=2.0):

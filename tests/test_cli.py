@@ -272,6 +272,21 @@ class TestCliCommands:
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["type"] == "InvalidConfigError"
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--multipliers", "-1"],
+        ["power", "--multipliers", "-1"],
+        ["simulate", "-n", "2"],
+        ["power", "-n", "2"],
+        ["simulate", "--reps", "0"],
+        ["power", "--rho", "1.5"],
+        ["simulate", "--rho", "1.5"],
+    ])
+    def test_bad_flag_without_input_is_a_config_error(self, argv, tmp_path, capsys):
+        # simulate and power read no panel, so a bad value can only come from a flag
+        code = main(argv + ["--output", str(tmp_path / "o")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"]["exit_code"] == 2
+
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "collinear.csv"
         rng = np.random.default_rng(0)

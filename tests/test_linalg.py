@@ -11,6 +11,7 @@ from mafkit import (
     sample_covariance,
     sym_eig,
 )
+from mafkit.linalg import unit_direction
 
 from conftest import random_spd
 
@@ -126,6 +127,24 @@ class TestSymEig:
     def test_rejects_bad_order(self):
         with pytest.raises(InvalidInputError):
             sym_eig(np.eye(2), order="sideways")
+
+
+class TestUnitDirection:
+    def test_matches_per_vector_rule(self, rng):
+        def reference(v):
+            # normalize, then flip unless the largest-magnitude entry is positive
+            v = v / np.linalg.norm(v)
+            return v if v[np.argmax(np.abs(v))] >= 0 else -v
+
+        m = rng.standard_normal((5, 4))
+        columns = unit_direction(m)
+        for j in range(4):
+            np.testing.assert_allclose(columns[:, j], reference(m[:, j]), rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(unit_direction(m[:, j]), columns[:, j])
+
+    def test_zero_vector_rejected(self):
+        with pytest.raises(InvalidInputError):
+            unit_direction(np.array([[1.0, 0.0], [2.0, 0.0]]))
 
 
 class TestInverseSqrt:

@@ -464,6 +464,31 @@ class TestSpecValidation:
             MultiSignalSpec(mixing=mixing, noise_cov=np.eye(4), k=[0.9, 0.8])
 
 
+# Every entry point that takes equicorrelated noise, as a function of rho
+# for p = 4 series (model 1 has q = 2 series per group).
+_B4, _SIGMA4 = np.linspace(1.0, 0.2, 4), np.linspace(1.0, 2.0, 4)
+EQUICORRELATED = {
+    "equicorrelation_noise_cov": lambda rho: equicorrelation_noise_cov(_SIGMA4, rho, p=4),
+    "SnModelSpec.equicorrelated": lambda rho: SnModelSpec.equicorrelated(_B4, _SIGMA4, rho),
+    "model1_snr": lambda rho: model1_snr(0.5, 1.0, 0.6, rho, 2),
+    "model2_maf_weights": lambda rho: model2_maf_weights(_B4, _SIGMA4, rho),
+    "appendix_closed_form": lambda rho: appendix_closed_form(_B4, rho, _SIGMA4),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(EQUICORRELATED))
+def test_one_equicorrelated_domain(entry):
+    call = EQUICORRELATED[entry]
+    for rho in (-1.0 / 3.0, 1.0, float("nan")):
+        with pytest.raises(InvalidInputError):
+            call(rho)
+    for rho in (-1.0 / 3.0 + 1e-6, 1.0 - 1e-6):
+        call(rho)
+    # sigma must have one entry or one per series
+    with pytest.raises(InvalidInputError):
+        equicorrelation_noise_cov([1.0, 2.0], 0.5, p=3)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     snr=st.floats(min_value=0.0, max_value=1e9),
