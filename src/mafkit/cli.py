@@ -41,7 +41,7 @@ from .inference import (ExperimentGrid, power_curve, resample_maf, run_compariso
 from .maf import compute_maf, compute_pca, standardize_columns
 from .oracles import SnModelSpec
 from .panel import TimeSeriesPanel
-from .simulate import SignalSpec, gen_signal
+from .simulate import SIGNAL_KINDS, SignalSpec, gen_signal
 from .smoothing import SmootherConfig
 
 EXIT_OK = 0
@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("-B", type=int, default=1000, help="replicates per curve point")
     sub.add_argument("--alpha", type=float, default=0.05, help="test level")
     sub.add_argument("-n", type=int, default=150, help="panel length")
-    sub.add_argument("--signal", choices=("linear", "quadratic", "sinusoid-mixture"),
+    sub.add_argument("--signal", choices=SIGNAL_KINDS,
                      default="sinusoid-mixture", help="underlying signal shape")
     sub.add_argument("--statistic", choices=("snr", "autocorrelation"), default="snr")
     sub.set_defaults(func=_cmd_power)

@@ -411,7 +411,7 @@ def power_curve(spec, signal, multipliers, B: int, alpha: float = 0.05,
     """
     f = np.asarray(signal, dtype=float).ravel()
     multipliers = [float(c) for c in multipliers]
-    if any(c < 0 for c in multipliers):
+    if not all(c >= 0 for c in multipliers):
         raise InvalidConfigError("multipliers must be non-negative")
     if not (0.0 < alpha < 1.0):
         raise InvalidConfigError(f"alpha must be in (0, 1), got {alpha}")
@@ -450,20 +450,20 @@ class ExperimentGrid:
     n: int
     reps: int
     seed: int
-    signal: SignalSpec | None = None
 
     def __post_init__(self):
         if self.reps < 1:
             raise InvalidInputError(f"reps must be at least 1, got {self.reps}")
         if len(self.rho_values) < 1 or len(self.b_multipliers) < 1:
             raise InvalidInputError("grid must contain at least one cell")
-        if any(c < 0 for c in self.b_multipliers):
+        if not all(c >= 0 for c in self.b_multipliers):
             raise InvalidInputError("signal multipliers must be non-negative")
+        if len(self.base_b) < 1 or not np.all(np.isfinite(self.base_b)):
+            raise InvalidInputError("base signal strengths must be one or more finite values")
 
     def signal_spec(self) -> SignalSpec:
-        if self.signal is not None:
-            return self.signal
-        return SignalSpec(kind="sinusoid-mixture", n=self.n, n_waves=3, seed=7)
+        """The experiment's signal: a seeded sinusoid mixture of length n."""
+        return SignalSpec(kind="sinusoid-mixture", n=self.n, seed=7)
 
 
 @dataclass(frozen=True)
@@ -628,6 +628,8 @@ def select_num_factors(panel, method: str, cfg: SmootherConfig = SmootherConfig(
         )
 
     # cross-validation on a trailing holdout block
+    if not 0.0 < holdout_frac < 1.0:
+        raise InvalidConfigError(f"holdout_frac must be in (0, 1), got {holdout_frac}")
     n_hold = int(round(holdout_frac * n))
     if n_hold < p + 2:
         raise InvalidConfigError(

@@ -53,8 +53,9 @@ class MafDecomposition:
     diff_eigenvalues : ndarray, shape (p,)
         Ascending eigenvalues K of the whitened differenced covariance.
     autocorrelations : ndarray, shape (p,)
-        Per-factor lag-1 autocorrelation, r = 1 - K/2 (factors are
-        unit-variance by construction, so the identity is exact).
+        Per-factor lag-1 autocorrelation, r = 1 - K/2 clamped to [-1, 1]
+        (factors are unit-variance by construction, so r equals
+        `factor_autocorrelation` of each factor up to rounding).
     degenerate_pairs : tuple of (int, int)
         Adjacent factor index pairs whose eigenvalues are numerically tied;
         factor identity within such a pair is not unique.
@@ -223,15 +224,19 @@ def standardize_columns(values: np.ndarray) -> np.ndarray:
 
 def lag1_autocorrelation(diff_var, var=1.0):
     """r = 1 - Var(diff y) / (2 Var(y)), the lag-1 autocorrelation MAF maximizes;
-    1 - K/2 for a whitened factor with differenced-covariance eigenvalue K."""
-    return 1.0 - diff_var / (2.0 * var)
+    1 - K/2 for a whitened factor with differenced-covariance eigenvalue K.
+
+    Clamped to [-1, 1]: the two variances are sample estimates over n - 1 and
+    n - 2 terms, so the ratio can pass 4 for a near-alternating series.
+    """
+    return np.clip(1.0 - diff_var / (2.0 * var), -1.0, 1.0)
 
 
 def factor_autocorrelation(series) -> float:
     """Lag-1 autocorrelation of one series via the variance-ratio identity.
 
     `lag1_autocorrelation` of the centered sample variances of the series
-    and of its differences, clamped to [-1, 1].
+    and of its differences.
 
     Raises
     ------
@@ -248,7 +253,7 @@ def factor_autocorrelation(series) -> float:
     var = y.var(ddof=1)
     if var <= 0.0:
         raise DegenerateSeriesError("series is constant; autocorrelation undefined")
-    return float(np.clip(lag1_autocorrelation(np.diff(y).var(ddof=1), var), -1.0, 1.0))
+    return float(lag1_autocorrelation(np.diff(y).var(ddof=1), var))
 
 
 def combination_autocorrelation(panel, weights) -> float:

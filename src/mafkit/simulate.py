@@ -11,25 +11,20 @@ from .errors import DegenerateSeriesError, InvalidConfigError, InvalidInputError
 from .oracles import equicorrelation_noise_cov, validated_noise_cov
 from .panel import TimeSeriesPanel
 
-SIGNAL_KINDS = ("linear", "quadratic", "sinusoid-mixture", "piecewise-interpolated")
+SIGNAL_KINDS = ("linear", "quadratic", "sinusoid-mixture")
 
 
 @dataclass(frozen=True)
 class SignalSpec:
     """Parametric description of a normalized underlying signal.
 
-    kind : one of `linear`, `quadratic`, `sinusoid-mixture`,
-        `piecewise-interpolated`.
+    kind : one of `SIGNAL_KINDS`.
     n : series length.
-    points : control points for the piecewise kind, as (fraction in [0, 1],
-        value) pairs; fractions are snapped to the nearest grid index.
-    n_waves, seed : mixture size and draw seed for the sinusoid kind.
+    seed : draw seed for the sinusoid mixture's frequencies and phases.
     """
 
     kind: str
     n: int
-    points: tuple[tuple[float, float], ...] | None = None
-    n_waves: int = 3
     seed: int = 0
 
     def __post_init__(self):
@@ -37,14 +32,6 @@ class SignalSpec:
             raise InvalidInputError(f"unknown signal kind {self.kind!r}")
         if self.n < 3:
             raise InvalidInputError(f"signal length must be at least 3, got {self.n}")
-        if self.kind == "piecewise-interpolated":
-            if self.points is None or len(self.points) < 2:
-                raise InvalidInputError("piecewise signal needs at least 2 control points")
-            fracs = [f for f, _ in self.points]
-            if min(fracs) < 0.0 or max(fracs) > 1.0:
-                raise InvalidInputError("control point positions must lie in [0, 1]")
-        if self.kind == "sinusoid-mixture" and self.n_waves < 1:
-            raise InvalidInputError("sinusoid mixture needs at least one component")
         if self.seed < 0:
             raise InvalidConfigError(f"seed must be non-negative, got {self.seed}")
 
@@ -57,25 +44,13 @@ def gen_signal(spec: SignalSpec) -> np.ndarray:
         raw = t.copy()
     elif spec.kind == "quadratic":
         raw = (t - t.mean()) ** 2
-    elif spec.kind == "sinusoid-mixture":
+    else:
         rng = np.random.default_rng(spec.seed)
         raw = np.zeros(n)
-        for j in range(spec.n_waves):
+        for j in range(3):  # a three-component mixture
             cycles = rng.uniform(1.0, 4.0)
             phase = rng.uniform(0.0, 2.0 * np.pi)
             raw += np.sin(2.0 * np.pi * cycles * t / n + phase) / (j + 1.0)
-    else:
-        idx = np.array([round(f * (n - 1)) for f, _ in spec.points], dtype=float)
-        vals = np.array([v for _, v in spec.points], dtype=float)
-        order = np.argsort(idx)
-        idx, vals = idx[order], vals[order]
-        if np.any(np.diff(idx) <= 0):
-            raise InvalidInputError("control points collapse onto the same grid index")
-        # imported here: scipy.interpolate takes about 0.6 s to import, and
-        # no other code path needs it
-        from scipy.interpolate import PchipInterpolator
-
-        raw = PchipInterpolator(idx, vals, extrapolate=True)(t)
     raw = raw - raw.mean()
     norm = np.linalg.norm(raw)
     if norm <= 1e-15:

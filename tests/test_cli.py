@@ -17,6 +17,7 @@ import mafkit
 from mafkit import CsvParseError, __version__
 from mafkit.cli import _atomic_write, _quote, _write_csv, build_parser, ingest_csv, main
 from mafkit.datasets import example_panel_path
+from mafkit.simulate import SIGNAL_KINDS
 
 
 def write_panel_csv(path, n=40, p=3, seed=0, with_time=True):
@@ -287,6 +288,17 @@ class TestCliCommands:
         assert code == 2
         assert json.loads(capsys.readouterr().out)["error"]["exit_code"] == 2
 
+    @pytest.mark.parametrize("frac", ["nan", "inf", "2"])
+    def test_bad_holdout_frac_is_a_config_error(self, frac, tmp_path, capsys):
+        code = main([
+            "select", "--input", str(example_panel_path()), "--output", str(tmp_path / "o"),
+            "--method", "cv", "--holdout-frac", frac,
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "InvalidConfigError"
+        assert "holdout_frac" in err["message"]
+
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "collinear.csv"
         rng = np.random.default_rng(0)
@@ -299,17 +311,37 @@ class TestCliCommands:
         assert err["error"]["type"] == "SingularMatrixError"
 
 
-def test_import_does_not_load_scipy():
-    # scipy.interpolate alone takes about 0.6 s to import; only the
-    # piecewise-interpolated signal needs it
+def test_import_does_not_load_scipy(tmp_path):
+    # numpy is the only runtime dependency: with scipy blocked, every signal
+    # kind and every command still runs
     src = str(Path(mafkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys, mafkit, mafkit.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    panel = str(example_panel_path())
+    runs = [
+        ["decompose", "--input", panel],
+        ["test", "--input", panel, "-B", "99"],
+        ["resample", "--input", panel, "-B", "5"],
+        *(["select", "--input", panel, "--method", m] for m in ("scree", "cutoff", "cv", "test")),
+        ["simulate", "--reps", "2"],
+        *(["power", "-B", "20", "--signal", kind] for kind in SIGNAL_KINDS),
+    ]
+    runs = [argv + ["--output", str(tmp_path / f"run{i}")] for i, argv in enumerate(runs)]
+    code = f"""
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from mafkit.cli import main
+from mafkit.simulate import SIGNAL_KINDS, SignalSpec, gen_signal
+for kind in SIGNAL_KINDS:
+    gen_signal(SignalSpec(kind=kind, n=50, seed=1))
+for argv in {runs!r}:
+    assert main(argv) == 0, argv
+print("ok")
+"""
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    assert out.strip() == "[]"
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
 
 
 # `ingest_csv` strips header cells, so labels carry no outer whitespace

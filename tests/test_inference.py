@@ -210,6 +210,8 @@ class TestPowerCurve:
             power_curve(self.spec, smooth_signal(), [-1.0], B=100)
         with pytest.raises(InvalidConfigError):
             power_curve(self.spec, smooth_signal(), [1.0], B=100, alpha=1.5)
+        with pytest.raises(InvalidConfigError, match="non-negative"):
+            power_curve(self.spec, smooth_signal(), [1.0, float("nan")], B=100)
 
 
 class TestSelectNumFactors:

@@ -200,6 +200,19 @@ class TestFactorAutocorrelation:
         rng = np.random.default_rng(12)
         assert abs(factor_autocorrelation(rng.standard_normal(10_000))) < 0.03
 
+    def test_near_alternating_factor_clamped_like_compute_maf(self):
+        # the differenced variance (n - 2 terms) can pass 4 times the variance
+        # (n - 1 terms), which would put 1 - K/2 below -1
+        rng = np.random.default_rng(0)
+        x = np.column_stack([(-1.0) ** np.arange(12) + 0.01 * rng.standard_normal(12),
+                             rng.standard_normal(12)])
+        decomp = compute_maf(x)
+        r = decomp.autocorrelations
+        assert np.all((r >= -1.0) & (r <= 1.0))
+        assert r[1] == -1.0
+        np.testing.assert_allclose(
+            r, [factor_autocorrelation(decomp.factors[:, j]) for j in range(2)], rtol=1e-12)
+
     def test_constant_series_rejected(self):
         with pytest.raises(DegenerateSeriesError):
             factor_autocorrelation(np.ones(10))

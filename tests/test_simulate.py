@@ -30,19 +30,6 @@ class TestGenSignal:
         f = gen_signal(SignalSpec(kind="linear", n=1000))
         assert signal_lag1_coherence(f) > 0.99
 
-    def test_piecewise_passes_through_normalized_control_points(self):
-        points = ((0.0, 1.0), (0.5, -2.0), (1.0, 3.0))
-        n = 101
-        f = gen_signal(SignalSpec(kind="piecewise-interpolated", n=n, points=points))
-        raw = np.array([v for _, v in points])
-        idx = np.array([round(frac * (n - 1)) for frac, _ in points])
-        # normalization is affine, so recover the map from two control points
-        # and check that every control point obeys it
-        assert abs(f.sum()) < 1e-12
-        scale = (f[idx[2]] - f[idx[0]]) / (raw[2] - raw[0])
-        shift = f[idx[0]] - scale * raw[0]
-        np.testing.assert_allclose(f[idx], scale * raw + shift, atol=1e-12)
-
     def test_linear_and_quadratic_orthogonal(self):
         lin = gen_signal(SignalSpec(kind="linear", n=400))
         quad = gen_signal(SignalSpec(kind="quadratic", n=400))
@@ -57,7 +44,7 @@ class TestGenSignal:
         with pytest.raises(InvalidInputError):
             SignalSpec(kind="sawtooth", n=100)
         with pytest.raises(InvalidInputError):
-            SignalSpec(kind="piecewise-interpolated", n=100, points=((0.0, 1.0),))
+            SignalSpec(kind="piecewise-interpolated", n=100)
         with pytest.raises(InvalidInputError):
             SignalSpec(kind="linear", n=2)
 
@@ -228,6 +215,13 @@ class TestComparisonExperiment:
                 rho_values=(0.2,), b_multipliers=(1.0,), base_b=(1.0,),
                 n=100, reps=0, seed=1,
             )
+        with pytest.raises(InvalidInputError, match="non-negative"):
+            ExperimentGrid(rho_values=(0.2,), b_multipliers=(1.0, float("nan")),
+                           base_b=(0.8, 0.4), n=50, reps=3, seed=1)
+        for base_b in [(), (0.8, float("nan")), (float("inf"),)]:
+            with pytest.raises(InvalidInputError, match="base signal strengths"):
+                ExperimentGrid(rho_values=(0.2,), b_multipliers=(1.0,), base_b=base_b,
+                               n=50, reps=3, seed=1)
 
     def test_negative_seeds_are_config_errors(self):
         with pytest.raises(InvalidConfigError, match="non-negative"):
