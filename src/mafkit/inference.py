@@ -199,14 +199,13 @@ def _factor_snrs(factors: np.ndarray, cfg: SmootherConfig) -> np.ndarray:
 
 
 def _resample_indices(rng: np.random.Generator, n: int, block_len: int) -> np.ndarray:
-    """Row indices for one bootstrap replicate.
+    """Row indices for one circular-block bootstrap replicate.
 
-    block_len == 1 draws n rows independently with replacement; otherwise
-    circular moving blocks of block_len consecutive rows (wrapping at the
-    end) are drawn until n rows are filled.
+    ceil(n / block_len) block starts are drawn uniformly from the n rows;
+    each block is block_len consecutive rows, wrapping at the end, and the
+    blocks are cut to n rows. With block_len == 1 this is the iid bootstrap:
+    the one draw is `rng.integers(0, n, size=n)` (Politis & Romano 1992).
     """
-    if block_len == 1:
-        return rng.integers(0, n, size=n)
     n_blocks = math.ceil(n / block_len)
     starts = rng.integers(0, n, size=n_blocks)
     idx = (starts[:, None] + np.arange(block_len)[None, :]) % n
@@ -240,10 +239,11 @@ def resample_maf(panel, B: int, block_len: int = 1,
     """Residual-resampling uncertainty bands for the MAF factors.
 
     Each series is smoothed; residual rows are resampled jointly across
-    series (in circular blocks when block_len > 1) and added back onto the
-    smooths; MAF is recomputed on every rebuilt panel. Replicate factors are
-    sign-aligned to the original factors and replicate coefficient columns
-    are unit-normalized. A replicate whose covariance degenerates is redrawn
+    series in circular blocks of block_len rows (`_resample_indices`; blocks
+    of one are the iid bootstrap) and added back onto the smooths; MAF is
+    recomputed on every rebuilt panel. Replicate factors are sign-aligned
+    to the original factors and replicate coefficient columns are
+    unit-normalized. A replicate whose covariance degenerates is redrawn
     from its own stream (see `_replicates`); `retries` counts the redraws.
     """
     panel = as_panel(panel)
@@ -280,17 +280,11 @@ def resample_maf(panel, B: int, block_len: int = 1,
         rep_factors[:, start:stop] = (factors * flips).transpose(2, 0, 1)
         rep_coefs[:, start:stop] = coefs.transpose(2, 0, 1)
 
-    bands = np.stack(
-        [
-            np.quantile(rep_factors, alpha / 2.0, axis=1),
-            np.quantile(rep_factors, 1.0 - alpha / 2.0, axis=1),
-        ],
-        axis=-1,
-    )
+    bands = np.quantile(rep_factors, [alpha / 2.0, 1.0 - alpha / 2.0], axis=1)
     return ResamplingEnvelope(
         replicate_factors=rep_factors,
         replicate_coefficients=rep_coefs,
-        pointwise_bands=bands,
+        pointwise_bands=np.moveaxis(bands, 0, -1),
         original_smoothed=smooth_columns(orig_factors, cfg)[0].T,
         original_factors=orig_factors.T,
         alpha=alpha,
@@ -333,9 +327,10 @@ def signal_presence_test(panel, B: int, cfg: SmootherConfig = SmootherConfig(),
     decomposed and its factor SNRs form the null distribution.
 
     `mode` is "permutation" (rows shuffled without replacement; requires
-    block_len == 1) or "bootstrap" (with replacement, blockwise when
-    block_len > 1). The default picks permutation for block_len == 1 and
-    bootstrap otherwise. Singular null panels are redrawn (`_replicates`).
+    block_len == 1) or "bootstrap" (circular blocks of block_len rows drawn
+    with replacement, `_resample_indices`). The default picks permutation
+    for block_len == 1 and bootstrap otherwise. Singular null panels are
+    redrawn (`_replicates`).
     """
     panel = as_panel(panel)
     n, p = panel.n, panel.p
@@ -353,10 +348,6 @@ def signal_presence_test(panel, B: int, cfg: SmootherConfig = SmootherConfig(),
         raise InvalidConfigError(f"mode must be 'permutation' or 'bootstrap', got {mode!r}")
     if mode == "permutation" and block_len != 1:
         raise InvalidConfigError("permutation mode requires block_len == 1")
-    stds = panel.values.std(axis=0)
-    if np.any(stds == 0.0):
-        j = int(np.nonzero(stds == 0.0)[0][0])
-        raise DegenerateSeriesError(f"series {j + 1} is constant")
 
     k = n_factors_tested
     original = compute_maf(panel)
@@ -580,6 +571,8 @@ def select_num_factors(panel, method: str, cfg: SmootherConfig = SmootherConfig(
         raise InvalidConfigError(f"unknown selection method {method!r}")
 
     if method == "test":
+        if not (0.0 < alpha < 1.0):
+            raise InvalidConfigError(f"alpha must be in (0, 1), got {alpha}")
         report = signal_presence_test(
             panel, B=B, cfg=cfg, mode="permutation", block_len=1,
             n_factors_tested=p, seed=seed,

@@ -158,12 +158,17 @@ def compute_maf(panel) -> MafDecomposition:
 
     Raises
     ------
+    DegenerateSeriesError
+        If a series is constant (all its values equal); checked first.
     InsufficientDataError
         If n <= p (the covariance pencil would be rank deficient).
     SingularMatrixError
         If the sample covariance is numerically singular.
     """
     panel = as_panel(panel)
+    constant = np.flatnonzero(np.ptp(panel.values, axis=0) == 0.0)
+    if constant.size:
+        raise DegenerateSeriesError(f"series {constant[0] + 1} is constant")
     stack = maf_stack(panel.values[None])
     coefficients, factors = stack.coefficients[0], stack.factors[0]
 

@@ -299,6 +299,35 @@ class TestCliCommands:
         assert err["type"] == "InvalidConfigError"
         assert "holdout_frac" in err["message"]
 
+    @pytest.mark.parametrize("alpha", ["nan", "0", "2"])
+    def test_bad_select_alpha_is_a_config_error(self, alpha, tmp_path, capsys):
+        code = main([
+            "select", "--input", str(example_panel_path()), "--output", str(tmp_path / "o"),
+            "--method", "test", "--alpha", alpha,
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "InvalidConfigError"
+        assert "alpha" in err["message"]
+        assert not (tmp_path / "o" / "selection.json").exists()
+
+    @pytest.mark.parametrize("argv", [["decompose"], ["test", "-B", "99"],
+                                      ["resample", "-B", "10"], ["select", "--method", "cv"]],
+                             ids=["decompose", "test", "resample", "select"])
+    def test_constant_series_is_a_data_error_under_every_command(self, argv, tmp_path,
+                                                                 capsys):
+        # every command that decomposes a panel rejects a constant series the
+        # same way, before its covariance is found singular; the sample
+        # standard deviation of forty 0.1s is 4e-17, not 0
+        path = tmp_path / "constant.csv"
+        rng = np.random.default_rng(0)
+        rows = [f"{float(a)!r},0.1,{float(c)!r}" for a, c in rng.standard_normal((40, 2))]
+        path.write_text("a,b,c\n" + "\n".join(rows) + "\n")
+        code = main(argv + ["--input", str(path), "--output", str(tmp_path / "o")])
+        assert code == 3
+        assert json.loads(capsys.readouterr().out) == {"error": {
+            "type": "DegenerateSeriesError", "message": "series 2 is constant", "exit_code": 3}}
+
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "collinear.csv"
         rng = np.random.default_rng(0)

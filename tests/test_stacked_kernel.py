@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mafkit import (
+    DegenerateSeriesError,
     ExperimentGrid,
     InvalidConfigError,
     InvalidInputError,
@@ -75,12 +76,13 @@ def spawn(seed, count):
 
 def redrawn(draw, rng):
     """compute_maf of draw(rng), drawing again until the covariance is not
-    singular; returns (decomposition, number of redraws)."""
+    singular (a constant column makes it singular); returns (decomposition,
+    number of redraws)."""
     redraws = 0
     while True:
         try:
             return compute_maf(draw(rng)), redraws
-        except SingularMatrixError:
+        except (SingularMatrixError, DegenerateSeriesError):
             redraws += 1
 
 
@@ -495,6 +497,10 @@ class TestResample:
         bands = np.stack([np.quantile(factors, 0.05, axis=1),
                           np.quantile(factors, 0.95, axis=1)], axis=-1)
         np.testing.assert_allclose(env.pointwise_bands, bands, atol=TOL)
+        # one quantile call over both levels gives the two calls' values exactly
+        np.testing.assert_array_equal(env.pointwise_bands, np.stack(
+            [np.quantile(env.replicate_factors, 0.05, axis=1),
+             np.quantile(env.replicate_factors, 0.95, axis=1)], axis=-1))
 
     def test_below_one_chunk(self, example):
         env = resample_maf(example, B=10, n_factors=4, seed=32)
@@ -552,6 +558,21 @@ def test_resample_indices_in_range(args):
     idx = _resample_indices(np.random.default_rng(seed), n, block_len)
     assert idx.shape == (n,)
     assert idx.min() >= 0 and idx.max() < n
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=3, max_value=4000),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       skip=st.integers(min_value=0, max_value=3))
+def test_blocks_of_one_are_the_iid_bootstrap(n, seed, skip):
+    # the reference is the iid bootstrap's own draw, n rows with replacement;
+    # both generators start from the same state, part way into the stream
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for gen in (rng, reference):
+        gen.integers(0, n, size=skip)
+    np.testing.assert_array_equal(_resample_indices(rng, n, 1),
+                                  reference.integers(0, n, size=n))
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 @settings(max_examples=100, deadline=None)
