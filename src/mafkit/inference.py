@@ -32,7 +32,7 @@ from .errors import (
     InvalidInputError,
     SingularMatrixError,
 )
-from .maf import compute_maf, compute_pca, lag1_autocorrelation, maf_stack
+from .maf import compute_maf, compute_pca, lag1_autocorrelation, maf_stack, no_spread
 from .panel import as_panel
 from .simulate import SignalSpec, gen_signal, gen_sn_stack, noise_cholesky
 from .smoothing import SmootherConfig, empirical_snr, smooth_columns, snr_columns
@@ -478,7 +478,7 @@ def correlation_with_signal(factor, f) -> float:
     y = np.asarray(f, dtype=float).ravel()
     if x.shape != y.shape:
         raise InvalidInputError("factor and signal must have the same length")
-    if x.std() == 0.0 or y.std() == 0.0:
+    if no_spread(x) or no_spread(y):
         raise DegenerateSeriesError("correlation undefined for a constant series")
     return float(abs(np.corrcoef(x, y)[0, 1]))
 
@@ -497,12 +497,11 @@ def multi_factor_r(f, factors) -> float:
     design = np.column_stack([np.ones(n), x])
     if np.linalg.matrix_rank(design) < k + 1:
         raise InvalidInputError("factor matrix is rank deficient")
+    if no_spread(y):
+        raise DegenerateSeriesError("signal is constant")
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
-        raise DegenerateSeriesError("signal is constant")
-    r2 = 1.0 - float(resid @ resid) / ss_tot
+    r2 = 1.0 - float(resid @ resid) / float(np.sum((y - y.mean()) ** 2))
     return float(np.sqrt(np.clip(r2, 0.0, 1.0)))
 
 
@@ -629,7 +628,7 @@ def select_num_factors(panel, method: str, cfg: SmootherConfig = SmootherConfig(
             f"holdout of {n_hold} rows is too small; need at least p + 2 = {p + 2}"
         )
     n_train = n - n_hold
-    if n_train <= p:
+    if n_train <= max(p, 2):
         raise InvalidConfigError(
             f"training block of {n_train} rows cannot support a {p}-series decomposition"
         )

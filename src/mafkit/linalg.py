@@ -7,8 +7,12 @@ reported magnitudes, never directions.
 
 `covariance_stack`, `sym_eig` and `inverse_sqrt_stack` also take stacks of
 panels or matrices on leading axes, for the batched MAF kernel, and
-`spd_singular` is the one rule every singularity check applies. `_fix_signs`
-is the one orientation of eigenvectors and of unit weight vectors
+`spd_singular` is the one rule every singularity check applies.
+`inverse_sqrt_stack` takes covariances its caller built (exactly symmetric
+and finite, as from `covariance_stack`) and checks nothing; the entry
+points for matrices from outside, `inverse_sqrt`, `sym_eig` and
+`assert_spd`, check them with `_check_symmetric` first. `_fix_signs` is the
+one orientation of `sym_eig`'s eigenvectors and of unit weight vectors
 (`unit_direction`).
 """
 
@@ -150,12 +154,12 @@ def require_spd(values, what: str = "matrix") -> None:
 def inverse_sqrt_stack(m) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric inverse square roots of one matrix or a stack, via eigh.
 
-    Returns (roots, ascending eigenvalues). A matrix that fails the SPD rule
-    (see `spd_singular`) does not raise: its eigenvalues are taken as 1, so
-    its root is the identity up to rounding, and callers decide what to do
-    with it.
+    `m` is unchecked: the caller built it exactly symmetric and finite, as
+    `covariance_stack` does. Returns (roots, ascending eigenvalues). A
+    matrix that fails the SPD rule (see `spd_singular`) does not raise: its
+    eigenvalues are taken as 1, so its root is the identity up to rounding,
+    and callers decide what to do with it.
     """
-    m = _check_symmetric(m)
     values, vectors = np.linalg.eigh(m)
     safe = np.where(spd_singular(values)[..., None], 1.0, values)
     root = (vectors / np.sqrt(safe)[..., None, :]) @ _swap(vectors)
@@ -167,10 +171,12 @@ def inverse_sqrt(m) -> np.ndarray:
 
     Raises
     ------
+    InvalidInputError
+        If `m` is not square, finite and symmetric within 1e-12.
     SingularMatrixError
         If the smallest eigenvalue is below SPD_RTOL times the largest.
     """
-    root, values = inverse_sqrt_stack(m)
+    root, values = inverse_sqrt_stack(_check_symmetric(m))
     require_spd(values)
     return root
 

@@ -86,7 +86,9 @@ class PcaDecomposition:
 class MafStack(NamedTuple):
     """Leading-k MAF factors of every panel of an (m, n, p) stack.
 
-    coefficients : (m, p, k) weights, columns in ascending eigenvalue order.
+    coefficients : (m, p, k) weights, columns in ascending eigenvalue order,
+        each with the sign LAPACK gave it; callers that publish factors set
+        their own sign rule.
     factors : (m, n, k), panel values @ coefficients.
     diff_eigenvalues : (m, p) ascending eigenvalues K of the whitened
         differenced covariance; lag-1 autocorrelation is 1 - K/2.
@@ -106,16 +108,23 @@ def maf_stack(x, k: int | None = None, allow_singular: bool = False) -> MafStack
 
     Per panel: centered covariance S, whitening by S^{-1/2} (batched
     eigh), covariance of the differenced whitened rows, and its ascending
-    eigendecomposition (batched eigh, largest-magnitude component of each
-    eigenvector positive); only the leading k factors are formed (all p
-    when k is None). No trend-sign rule is applied.
+    eigendecomposition (batched `np.linalg.eigh`); only the leading k
+    factors are formed (all p when k is None). Both covariances come from
+    `covariance_stack`, exactly symmetric, so neither is re-checked. No
+    sign rule is applied: each factor keeps LAPACK's sign, and the callers
+    set theirs (`compute_maf` the trend sign, `resample_maf` alignment with
+    the original factors; the test, power and comparison statistics ignore
+    sign).
 
     Raises
     ------
     InvalidInputError
-        If `x` is not a finite 3-D array or k is out of range.
+        If `x` is not a 3-D array or k is out of range, or if a panel's
+        sample covariance is not finite: the panel holds a NaN or inf, or
+        its covariance overflows (|values| of about 1e153 and up, which
+        numpy also reports with an overflow RuntimeWarning).
     InsufficientDataError
-        If n <= p.
+        If n <= p, or n < 3 (the differenced covariance needs two rows).
     SingularMatrixError
         If a panel's sample covariance is numerically singular, unless
         `allow_singular`, which flags such panels in `singular` instead.
@@ -126,24 +135,25 @@ def maf_stack(x, k: int | None = None, allow_singular: bool = False) -> MafStack
     _, n, p = x.shape
     if p < 1:
         raise InvalidInputError("panel must have at least one series")
-    if n <= p:
+    if n <= max(p, 2):
         raise InsufficientDataError(
-            f"MAF needs more time steps than series, got n={n}, p={p}"
+            f"MAF needs more time steps than series and at least 3, got n={n}, p={p}"
         )
     k = p if k is None else k
     if not 1 <= k <= p:
         raise InvalidInputError(f"k must be in [1, {p}], got {k}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("panel contains non-finite values")
 
-    whitener, cov_values = inverse_sqrt_stack(covariance_stack(x))
+    # one check for both: a non-finite value in x makes the covariance non-finite
+    cov = covariance_stack(x)
+    if not np.all(np.isfinite(cov)):
+        raise InvalidInputError("panel has non-finite values, or its covariance overflows")
+    whitener, cov_values = inverse_sqrt_stack(cov)
     singular = spd_singular(cov_values)
     if not allow_singular:
         require_spd(cov_values, "sample covariance")
-    diff_eig = sym_eig(covariance_stack(np.diff(x @ whitener, axis=1)), order="ascending")
-    coefficients = whitener @ diff_eig.vectors[..., :k]
+    diff_values, vectors = np.linalg.eigh(covariance_stack(np.diff(x @ whitener, axis=1)))
+    coefficients = whitener @ vectors[..., :k]
     factors = x @ coefficients
-    diff_values = diff_eig.values
     if np.any(singular):
         coefficients[singular] = factors[singular] = diff_values[singular] = np.nan
     return MafStack(coefficients, factors, diff_values, singular)
@@ -161,7 +171,7 @@ def compute_maf(panel) -> MafDecomposition:
     DegenerateSeriesError
         If a series is constant (all its values equal); checked first.
     InsufficientDataError
-        If n <= p (the covariance pencil would be rank deficient).
+        If n <= p (the covariance pencil would be rank deficient), or n < 3.
     SingularMatrixError
         If the sample covariance is numerically singular.
     """
@@ -255,10 +265,17 @@ def factor_autocorrelation(series) -> float:
         raise InsufficientDataError(f"autocorrelation needs at least 3 points, got {y.size}")
     if not np.all(np.isfinite(y)):
         raise InvalidInputError("series contains non-finite values")
-    var = y.var(ddof=1)
-    if var <= 0.0:
+    if no_spread(y):
         raise DegenerateSeriesError("series is constant; autocorrelation undefined")
-    return float(lag1_autocorrelation(np.diff(y).var(ddof=1), var))
+    return float(lag1_autocorrelation(np.diff(y).var(ddof=1), y.var(ddof=1)))
+
+
+def no_spread(y) -> bool:
+    """True if a series is constant, all its values equal (`np.ptp` == 0, the
+    rule `compute_maf` applies to each series; rounding leaves the variance
+    of most constant series above 0), or so flat that its variance
+    underflows to 0. The rule of every statistic that needs a spread."""
+    return bool(np.ptp(y) == 0.0 or np.var(y) == 0.0)
 
 
 def combination_autocorrelation(panel, weights) -> float:

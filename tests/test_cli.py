@@ -471,6 +471,16 @@ def test_atomic_write_keeps_the_old_file_when_a_piece_fails(tmp_path):
     assert list(tmp_path.glob(".out.csv.*.tmp")) == []
 
 
+def test_readme_library_quickstart_runs_as_written():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, flags=re.DOTALL).group(1)
+    namespace = {}
+    exec(block, namespace)
+    np.testing.assert_array_equal(namespace["report"].p_value, [0.0])
+    assert namespace["bands"].pointwise_bands.shape == (2, 150, 2)
+
+
 def test_readme_flag_table_matches_parser():
     # README lists every flag but --output and --seed, in declaration order
     parser = build_parser()

@@ -102,6 +102,11 @@ class TestComputeMaf:
         with pytest.raises(InsufficientDataError):
             compute_maf(rng.standard_normal((3, 3)))
 
+    def test_rejects_two_row_single_series(self):
+        # n > p holds, but one differenced row has no sample covariance
+        with pytest.raises(InsufficientDataError, match="at least 3"):
+            compute_maf(np.array([[1.0], [2.5]]))
+
     def test_rejects_collinear_panel(self, rng):
         col = rng.standard_normal(50)
         with pytest.raises(SingularMatrixError):

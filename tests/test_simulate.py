@@ -10,6 +10,7 @@ from mafkit import (
     compute_maf,
     compute_pca,
     correlation_with_signal,
+    factor_autocorrelation,
     gen_signal,
     gen_sn_panel,
     multi_factor_r,
@@ -98,6 +99,14 @@ class TestGenSnPanel:
             gen_sn_panel(f, [1.0, 1.0], np.array([[1.0, 2.0], [2.0, 1.0]]), seed=1)
 
 
+# Constant series, whose spread about their rounded mean is mostly not 0
+# (np.ptp == 0 is the rule, as in compute_maf), and a non-constant series
+# whose squared deviations underflow to 0.
+NO_SPREAD = {f"{value}x{n}": np.full(n, value)
+             for value in (0.1, 0.3, 2.7, 123.456) for n in (10, 150, 3005)}
+NO_SPREAD["underflowing"] = 1e-170 * np.random.default_rng(3).standard_normal(150)
+
+
 class TestSignalStatistics:
     def test_correlation_with_itself(self):
         f = gen_signal(SignalSpec(kind="sinusoid-mixture", n=100, seed=9))
@@ -111,6 +120,18 @@ class TestSignalStatistics:
     def test_constant_rejected(self):
         with pytest.raises(DegenerateSeriesError):
             correlation_with_signal(np.ones(10), np.arange(10.0))
+
+    @pytest.mark.parametrize("series", NO_SPREAD.values(), ids=NO_SPREAD.keys())
+    def test_series_without_spread_rejected_by_every_statistic(self, series):
+        ramp = np.arange(float(series.size))
+        with pytest.raises(DegenerateSeriesError):
+            factor_autocorrelation(series)
+        with pytest.raises(DegenerateSeriesError):
+            correlation_with_signal(ramp, series)
+        with pytest.raises(DegenerateSeriesError):
+            correlation_with_signal(series, ramp)
+        with pytest.raises(DegenerateSeriesError):
+            multi_factor_r(series, np.column_stack([ramp, np.sqrt(ramp)]))
 
     def test_single_factor_r_equals_correlation(self):
         rng = np.random.default_rng(14)

@@ -12,6 +12,7 @@ it replaced (`gen_sn_panel`, `compute_maf`, `compute_pca` and the recovery
 statistics on the spawned children) in the same way.
 """
 
+import json
 import math
 
 import numpy as np
@@ -42,10 +43,18 @@ from mafkit import (
     signal_presence_test,
 )
 from mafkit import inference
-from mafkit.cli import ingest_csv
+from mafkit.cli import ingest_csv, main
 from mafkit.datasets import example_panel_path
 from mafkit.inference import _resample_indices
-from mafkit.maf import maf_stack
+from mafkit.linalg import (
+    _check_symmetric,
+    covariance_stack,
+    inverse_sqrt_stack,
+    require_spd,
+    spd_singular,
+    sym_eig,
+)
+from mafkit.maf import MafStack, maf_stack
 from mafkit.panel import as_panel
 from mafkit.simulate import gen_sn_stack, noise_cholesky
 from mafkit.smoothing import snr_columns
@@ -84,6 +93,23 @@ def redrawn(draw, rng):
             return compute_maf(draw(rng)), redraws
         except (SingularMatrixError, DegenerateSeriesError):
             redraws += 1
+
+
+def checked_maf_stack(x, k, allow_singular):
+    """`maf_stack`'s decomposition as it was when the kernel re-checked both
+    covariances (`_check_symmetric`) and oriented each eigenvector with
+    `sym_eig` (largest-magnitude component positive)."""
+    whitener, cov_values = inverse_sqrt_stack(_check_symmetric(covariance_stack(x)))
+    singular = spd_singular(cov_values)
+    if not allow_singular:
+        require_spd(cov_values, "sample covariance")
+    diff_eig = sym_eig(covariance_stack(np.diff(x @ whitener, axis=1)), order="ascending")
+    coefficients = whitener @ diff_eig.vectors[..., :k]
+    factors = x @ coefficients
+    diff_values = diff_eig.values
+    if np.any(singular):
+        coefficients[singular] = factors[singular] = diff_values[singular] = np.nan
+    return MafStack(coefficients, factors, diff_values, singular)
 
 
 def loop_presence(panel, B, cfg=SmootherConfig(), mode="permutation", block_len=1,
@@ -240,10 +266,36 @@ class TestKernel:
         x[1, 5, 0] = np.nan
         with pytest.raises(InvalidInputError):
             maf_stack(x)
+        x[1, 5, 0] = np.inf
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                maf_stack(x)
         with pytest.raises(InvalidInputError):
             maf_stack(np.zeros((20, 2)))
         with pytest.raises(InvalidInputError):
             maf_stack(rng.standard_normal((2, 20, 2)), k=3)
+
+    @pytest.mark.parametrize("allow_singular", [False, True])
+    def test_overflowing_covariance_is_invalid_input(self, rng, allow_singular):
+        # values of 1e160 square past the largest float: the covariance is
+        # inf, and eigh would fail on it with a LinAlgError
+        x = rng.standard_normal((3, 60, 3)) * 1e160
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(InvalidInputError, match="covariance overflows"):
+                maf_stack(x, allow_singular=allow_singular)
+
+    def test_overflowing_panel_is_a_data_error_in_the_cli(self, rng, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        rows = [",".join(repr(float(v)) for v in row)
+                for row in rng.standard_normal((60, 3)) * 1e160]
+        path.write_text("a,b,c\n" + "\n".join(rows) + "\n")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["decompose", "--input", str(path), "--output", str(tmp_path / "o")])
+        assert code == 3
+        assert json.loads(capsys.readouterr().out) == {"error": {
+            "type": "InvalidInputError",
+            "message": "panel has non-finite values, or its covariance overflows",
+            "exit_code": 3}}
 
     def test_snr_columns_matches_empirical_snr(self, rng):
         y = rng.standard_normal((120, 5)).cumsum(axis=0) + rng.standard_normal((120, 5))
@@ -588,3 +640,37 @@ def test_maf_stack_spectrum_invariant(m, n, p, seed):
     transformed = [x[..., rng.permutation(p)], x[:, ::-1], x @ random_invertible(rng, p)]
     for y in transformed:
         np.testing.assert_allclose(maf_stack(y).diff_eigenvalues, expected, rtol=1e-8, atol=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(min_value=1, max_value=8), p=st.integers(min_value=1, max_value=6),
+       extra_rows=st.integers(min_value=1, max_value=40),
+       singular_frac=st.sampled_from([0.0, 0.3, 1.0]), allow_singular=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_maf_stack_matches_the_checked_and_oriented_kernel(m, p, extra_rows, singular_frac,
+                                                           allow_singular, seed):
+    # eigh on the covariances covariance_stack built gives the same spectra,
+    # singular flags and NaNs bit for bit, and the same factors up to the
+    # sign of each column, as the re-checking kernel did
+    rng = np.random.default_rng(seed)
+    n, k = max(p + extra_rows, 3), int(rng.integers(1, p + 1))
+    x = rng.standard_normal((m, n, p)).cumsum(axis=1) + rng.standard_normal((m, n, p))
+    x *= 10.0 ** (rng.integers(-8, 9) + rng.uniform(-2.0, 2.0, size=p))
+    for i in np.flatnonzero(rng.random(m) < singular_frac):
+        if p > 1:
+            x[i, :, -1] = rng.uniform(-2.0, 2.0) * x[i, :, 0]
+        else:
+            x[i] = 1.5
+    try:
+        expected = checked_maf_stack(x, k, allow_singular)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            maf_stack(x, k, allow_singular)
+        return
+    stack = maf_stack(x, k, allow_singular)
+    np.testing.assert_array_equal(stack.diff_eigenvalues, expected.diff_eigenvalues)
+    np.testing.assert_array_equal(stack.singular, expected.singular)
+    dots = np.sum(stack.coefficients * expected.coefficients, axis=1, keepdims=True)
+    signs = np.where(dots < 0.0, -1.0, 1.0)
+    np.testing.assert_array_equal(stack.coefficients * signs, expected.coefficients)
+    np.testing.assert_array_equal(stack.factors * signs, expected.factors)
