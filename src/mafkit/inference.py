@@ -8,13 +8,16 @@ bit-identical across runs and independent of any evaluation order.
 
 Every resampling function and the comparison experiment run their
 replicates through one driver, `_replicates`. It computes the PCG64
-starting states of all the streams in bulk, with numpy's SeedSequence and
-PCG64 seeding written out over arrays (`_stream_words`), and draws every
-replicate through one reused Generator set to its stream's state.
+starting states of all the streams in bulk: numpy's SeedSequence mixes the
+seed once, `_stream_words` mixes each replicate's spawn key into that pool
+over arrays, and `_pcg64_state` writes out PCG64's seeding. Every
+replicate is drawn through one reused Generator set to its stream's state.
 Replicate panels are drawn one by one, each from its own stream, then
 decomposed together by `maf.maf_stack` in chunks of about CHUNK_BYTES of
-values, which keeps memory flat in B. A singular replicate is redrawn from
-its own stream; more than 10% of B redraws is an error.
+values, which keeps memory flat in B. The kernel returns all p factors of
+each panel, and each caller slices the ones its statistic uses. A singular
+replicate is redrawn from its own stream; more than 10% of B redraws is an
+error.
 """
 
 from __future__ import annotations
@@ -69,13 +72,25 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
+def _hashmix(values: np.ndarray, init: int, mult: int, start: int) -> np.ndarray:
+    """SeedSequence's hashmix of each row of a uint32 array, row j being the
+    hash's call start + j, counted from 0: call c xors with init * mult**c
+    and multiplies by init * mult**(c + 1), both mod 2**32."""
+    consts = np.array([init * pow(mult, start + j, 1 << 32) & _MASK32
+                       for j in range(len(values) + 1)], np.uint32)[:, None]
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ (values >> np.uint32(16))
+
+
 def _stream_words(seed: int, keys) -> np.ndarray:
     """PCG64 seed words of every replicate stream, as a (len(keys), 4) array.
 
     Row i equals `SeedSequence(seed, spawn_key=(keys[i],)).generate_state(4,
     np.uint64)`, which is `SeedSequence(seed).spawn(B)[b]` for key b. The
-    SeedSequence hash-mix runs on uint32 vectors over all keys at once; only
-    the last entropy word, the spawn key, differs between them.
+    keys share the seed's entropy, so they start from numpy's mix of it,
+    `SeedSequence(seed).pool`; only the spawn key, their last entropy word,
+    is mixed in here, over all keys at once. Before it, a seed of w uint32
+    words has used 4 * max(4, w) hashes.
     """
     seed = operator.index(seed)
     keys = np.asarray(keys, dtype=np.int64)
@@ -83,42 +98,15 @@ def _stream_words(seed: int, keys) -> np.ndarray:
         raise InvalidConfigError(f"seed must be non-negative, got {seed}")
     if keys.min() < 0 or keys.max() > _MASK32:
         raise InvalidConfigError("replicate keys must lie in [0, 2**32)")
-    words = []  # the seed's uint32 words, least significant first
-    while True:
-        words.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-    entropy = [np.full(keys.shape, w, np.uint32) for w in words + [0] * (4 - len(words))]
-    entropy.append(keys.astype(np.uint32))
-
-    def hasher(hash_const, mult):
-        def hashmix(value):
-            nonlocal hash_const
-            value = value ^ np.uint32(hash_const)
-            hash_const = hash_const * mult & _MASK32
-            value = value * np.uint32(hash_const)
-            return value ^ (value >> np.uint32(16))
-        return hashmix
-
-    def mix(x, y):
-        result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    hashmix = hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
+    seed_words = max(1, -(-seed.bit_length() // 32))
+    hashed = _hashmix(np.tile(keys.astype(np.uint32), (4, 1)), _INIT_A, _MULT_A,
+                      4 * max(4, seed_words))
+    pool = np.random.SeedSequence(seed).pool[:, None]
+    mixed = np.uint32(_MIX_L) * pool - np.uint32(_MIX_R) * hashed
+    mixed ^= mixed >> np.uint32(16)
     # generate_state: eight uint32 words, paired little-endian into uint64
-    output = hasher(_INIT_B, _MULT_B)
-    state = [output(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(state[::2], state[1::2])],
-                    axis=-1)
+    state = _hashmix(np.tile(mixed, (2, 1)), _INIT_B, _MULT_B, 0).astype(np.uint64)
+    return (state[::2] | state[1::2] << np.uint64(32)).T
 
 
 def _pcg64_state(seed_hi: int, seed_lo: int, seq_hi: int, seq_lo: int) -> dict:
@@ -129,7 +117,7 @@ def _pcg64_state(seed_hi: int, seed_lo: int, seq_hi: int, seq_lo: int) -> dict:
             "has_uint32": 0, "uinteger": 0}
 
 
-def _replicates(seed: int, keys, n: int, p: int, k: int, draw):
+def _replicates(seed: int, keys, n: int, p: int, draw):
     """Decompose one (n, p) panel per replicate key, by chunks.
 
     Replicate `keys[i]` draws exactly what `default_rng(SeedSequence(seed,
@@ -168,7 +156,7 @@ def _replicates(seed: int, keys, n: int, p: int, k: int, draw):
     for start in range(0, B, size):
         stop = min(start + size, B)
         panels = draw(streams(words[start:stop]))
-        stack = maf_stack(panels, k, allow_singular=True)
+        stack = maf_stack(panels, allow_singular=True)
         singular = np.flatnonzero(stack.singular)
         if singular.size:
             rngs = [np.random.default_rng(np.random.SeedSequence(
@@ -182,7 +170,7 @@ def _replicates(seed: int, keys, n: int, p: int, k: int, draw):
                     f"budget of 10% of B={B}; panel too close to singular"
                 )
             redrawn = draw(iter(rngs))
-            rep = maf_stack(redrawn, k, allow_singular=True)
+            rep = maf_stack(redrawn, allow_singular=True)
             panels[singular] = redrawn
             for field_values, values in zip(stack, rep):
                 field_values[singular] = values
@@ -270,8 +258,9 @@ def resample_maf(panel, B: int, block_len: int = 1,
         return np.stack([fitted + residuals[_resample_indices(rng, n, block_len)]
                          for rng in rngs])
 
-    for start, stop, _, reps, retries in _replicates(seed, range(B), n, p, n_factors, draw):
-        factors, coefs = reps.factors, reps.coefficients
+    for start, stop, _, reps, retries in _replicates(seed, range(B), n, p, draw):
+        factors = reps.factors[..., :n_factors]
+        coefs = reps.coefficients[..., :n_factors]
         # align each replicate factor with the original factor it estimates
         centered = factors - factors.mean(axis=1, keepdims=True)
         flips = np.where(np.einsum("mtj,tj->mj", centered, orig_centered) < 0, -1.0, 1.0)
@@ -362,8 +351,8 @@ def signal_presence_test(panel, B: int, cfg: SmootherConfig = SmootherConfig(),
         return inflated[np.stack([_resample_indices(rng, n, block_len) for rng in rngs])]
 
     null_draws = np.empty((k, B))
-    for start, stop, _, reps, _ in _replicates(seed, range(B), n, p, k, draw):
-        null_draws[:, start:stop] = _factor_snrs(reps.factors, cfg)
+    for start, stop, _, reps, _ in _replicates(seed, range(B), n, p, draw):
+        null_draws[:, start:stop] = _factor_snrs(reps.factors[..., :k], cfg)
 
     exceed = (null_draws >= observed[:, None]).sum(axis=1)
     if conservative:
@@ -417,9 +406,9 @@ def power_curve(spec, signal, multipliers, B: int, alpha: float = 0.05,
     def stats(b, offset: int) -> np.ndarray:
         out = np.empty(B)
         draw = partial(gen_sn_stack, f, b, chol, ar_phi=spec.k_eps)
-        for start, stop, _, reps, _ in _replicates(seed, range(offset, offset + B), n, p, 1, draw):
+        for start, stop, _, reps, _ in _replicates(seed, range(offset, offset + B), n, p, draw):
             if statistic == "snr":
-                out[start:stop] = _factor_snrs(reps.factors, cfg)[0]
+                out[start:stop] = _factor_snrs(reps.factors[..., :1], cfg)[0]
             else:
                 out[start:stop] = lag1_autocorrelation(reps.diff_eigenvalues[:, 0])
         return out
@@ -526,8 +515,7 @@ def run_comparison_experiment(grid: ExperimentGrid) -> list[ExperimentRow]:
         draw = partial(gen_sn_stack, f, mult * base_b, noise_cholesky((rho, 1.0), p))
         keys = range(c * reps, (c + 1) * reps)
         stats = np.empty((reps, 3))
-        # all p factors: with k=1 the whitener product rounds unlike compute_maf's
-        for start, _, panels, stack, _ in _replicates(grid.seed, keys, n, p, p, draw):
+        for start, _, panels, stack, _ in _replicates(grid.seed, keys, n, p, draw):
             for r, (values, maf1) in enumerate(zip(panels, stack.factors[..., 0]), start):
                 pca = compute_pca(values)
                 stats[r] = (correlation_with_signal(maf1, f),

@@ -12,9 +12,12 @@ autocorrelation formula and `standardize_columns` the one standardization
 (PCA and the CLI's `--standardize`).
 
 `maf_stack` runs this algorithm over a stack of panels of one shape with
-batched numpy linear algebra (Switzer & Green 1984); `compute_maf` is its
-one-panel case, and the resampling functions in `mafkit.inference` feed it
-chunks of replicate panels.
+batched numpy linear algebra (Switzer & Green 1984). One eigendecomposition
+yields all p factors, so it returns them all, and how many to keep is the
+caller's slice. `compute_maf` is its one-panel case, and the resampling
+functions in `mafkit.inference` feed it chunks of replicate panels; each
+row of a stack is bitwise the decomposition `compute_maf` gives that panel,
+up to the trend sign.
 """
 
 from __future__ import annotations
@@ -84,12 +87,12 @@ class PcaDecomposition:
 
 
 class MafStack(NamedTuple):
-    """Leading-k MAF factors of every panel of an (m, n, p) stack.
+    """All p MAF factors of every panel of an (m, n, p) stack.
 
-    coefficients : (m, p, k) weights, columns in ascending eigenvalue order,
+    coefficients : (m, p, p) weights, columns in ascending eigenvalue order,
         each with the sign LAPACK gave it; callers that publish factors set
         their own sign rule.
-    factors : (m, n, k), panel values @ coefficients.
+    factors : (m, n, p), panel values @ coefficients.
     diff_eigenvalues : (m, p) ascending eigenvalues K of the whitened
         differenced covariance; lag-1 autocorrelation is 1 - K/2.
     singular : (m,) True where the panel's sample covariance failed the
@@ -103,26 +106,26 @@ class MafStack(NamedTuple):
     singular: np.ndarray
 
 
-def maf_stack(x, k: int | None = None, allow_singular: bool = False) -> MafStack:
+def maf_stack(x, allow_singular: bool = False) -> MafStack:
     """MAF decomposition of every panel of an (m, n, p) stack at once.
 
     Per panel: centered covariance S, whitening by S^{-1/2} (batched
     eigh), covariance of the differenced whitened rows, and its ascending
-    eigendecomposition (batched `np.linalg.eigh`); only the leading k
-    factors are formed (all p when k is None). Both covariances come from
-    `covariance_stack`, exactly symmetric, so neither is re-checked. No
-    sign rule is applied: each factor keeps LAPACK's sign, and the callers
-    set theirs (`compute_maf` the trend sign, `resample_maf` alignment with
-    the original factors; the test, power and comparison statistics ignore
-    sign).
+    eigendecomposition (batched `np.linalg.eigh`), which yields all p
+    factors at once; a caller that needs fewer slices them. Both
+    covariances come from `covariance_stack`, exactly symmetric, so
+    neither is re-checked. No sign rule is applied: each factor keeps
+    LAPACK's sign, and the callers set theirs (`compute_maf` the trend
+    sign, `resample_maf` alignment with the original factors; the test,
+    power and comparison statistics ignore sign).
 
     Raises
     ------
     InvalidInputError
-        If `x` is not a 3-D array or k is out of range, or if a panel's
-        sample covariance is not finite: the panel holds a NaN or inf, or
-        its covariance overflows (|values| of about 1e153 and up, which
-        numpy also reports with an overflow RuntimeWarning).
+        If `x` is not a 3-D array, or if a panel's sample covariance is not
+        finite: the panel holds a NaN or inf, or its covariance overflows
+        (|values| of about 1e153 and up, which numpy also reports with an
+        overflow RuntimeWarning).
     InsufficientDataError
         If n <= p, or n < 3 (the differenced covariance needs two rows).
     SingularMatrixError
@@ -139,9 +142,6 @@ def maf_stack(x, k: int | None = None, allow_singular: bool = False) -> MafStack
         raise InsufficientDataError(
             f"MAF needs more time steps than series and at least 3, got n={n}, p={p}"
         )
-    k = p if k is None else k
-    if not 1 <= k <= p:
-        raise InvalidInputError(f"k must be in [1, {p}], got {k}")
 
     # one check for both: a non-finite value in x makes the covariance non-finite
     cov = covariance_stack(x)
@@ -152,7 +152,7 @@ def maf_stack(x, k: int | None = None, allow_singular: bool = False) -> MafStack
     if not allow_singular:
         require_spd(cov_values, "sample covariance")
     diff_values, vectors = np.linalg.eigh(covariance_stack(np.diff(x @ whitener, axis=1)))
-    coefficients = whitener @ vectors[..., :k]
+    coefficients = whitener @ vectors
     factors = x @ coefficients
     if np.any(singular):
         coefficients[singular] = factors[singular] = diff_values[singular] = np.nan

@@ -69,8 +69,6 @@ class SnModelSpec:
     noise_cov: np.ndarray
     k_f: float = 1.0
     k_eps: float = 0.0
-    rho: float | None = None
-    sigma: np.ndarray | None = None
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=float).ravel()
@@ -86,17 +84,15 @@ class SnModelSpec:
             raise InvalidInputError(
                 f"signal coherence k_f={self.k_f} must exceed noise k_eps={self.k_eps}"
             )
-        if self.sigma is not None:
-            object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float).ravel())
 
     @classmethod
     def equicorrelated(cls, b, sigma=1.0, rho: float = 0.0,
                        k_f: float = 1.0, k_eps: float = 0.0) -> "SnModelSpec":
-        """Compact form: common correlation `rho` and per-series scales `sigma`."""
+        """Compact form: the noise covariance `equicorrelation_noise_cov` builds
+        from a common correlation `rho` and per-series scales `sigma`."""
         b = np.asarray(b, dtype=float).ravel()
-        sigma = _equicorrelated_sigma(sigma, rho, b.size)
-        return cls(b=b, noise_cov=equicorrelation_noise_cov(sigma, rho), k_f=k_f,
-                   k_eps=k_eps, rho=rho, sigma=sigma)
+        return cls(b=b, noise_cov=equicorrelation_noise_cov(sigma, rho, p=b.size),
+                   k_f=k_f, k_eps=k_eps)
 
     @property
     def p(self) -> int:

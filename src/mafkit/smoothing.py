@@ -3,11 +3,15 @@
 Rows are treated as equally spaced, so the smoother is a fixed linear map
 y -> L y for a given (n, config). Row i's window is the k rows around it,
 shifted inward at the ends, so L is filled from a (k, k) table of local-fit
-weights, one row per offset of i in its window. Only the most recent L is
-kept. Its trace is the smoother's degrees of freedom, needed for residual
-inflation in the resampling test. `smooth_columns` is the one way to apply
-L, to many columns at once; `snr_columns` takes its fitted values and
-residuals, and `loess_smooth` and `empirical_snr` are one-column cases.
+weights, one row per offset of i in its window. A degree-d fit needs
+k - 1 - (k mod 2) >= d + 2 points of nonzero tricube weight, or it would
+interpolate. Only the most recent L is kept. Its trace is the smoother's
+degrees of freedom, needed for residual inflation in the resampling test.
+`smooth_columns` is the one way to apply L, to many columns at once;
+`snr_columns` takes its fitted values and residuals, and `loess_smooth` and
+`empirical_snr` are one-column cases. An SNR is undefined when a column's
+residual SD is at most 1e-12 of its largest magnitude, a floor that scales
+with the column.
 """
 
 from __future__ import annotations
@@ -57,7 +61,10 @@ class SmoothResult:
 @lru_cache(maxsize=1)
 def _hat_matrix(n: int, cfg: SmootherConfig) -> tuple[np.ndarray, float]:
     k = cfg.window_size(n)
-    if k < cfg.degree + 2:
+    # tricube weights vanish at a window's far end, and at both ends of a
+    # centred odd window: a fit on fewer than degree + 2 weighted points
+    # would interpolate them
+    if k - 1 - k % 2 < cfg.degree + 2:
         raise InsufficientDataError(
             f"window of {k} points cannot support a degree-{cfg.degree} local fit; "
             f"increase span_fraction or series length"
@@ -113,15 +120,16 @@ def snr_columns(values, cfg: SmootherConfig = SmootherConfig()) -> np.ndarray:
     Raises
     ------
     DegenerateResidualError
-        If any column's residual standard deviation is numerically zero
-        (the series is itself smooth at this span).
+        If any column's residual standard deviation is numerically zero,
+        at most 1e-12 of the column's largest magnitude (the series is
+        itself smooth at this span, or constant).
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise InvalidInputError(f"expected an (n, c) array of series, got shape {values.shape}")
     fitted, residuals, _ = smooth_columns(values, cfg)
     sd_resid = residuals.std(axis=0)
-    if np.any(sd_resid <= 1e-12):
+    if np.any(sd_resid <= 1e-12 * np.abs(values).max(axis=0)):
         raise DegenerateResidualError(
             "residual standard deviation is numerically zero; empirical SNR undefined"
         )

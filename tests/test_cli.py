@@ -381,9 +381,11 @@ LABEL = st.text('abcdefghijklmnopqrstuvwxyz0123456789_,"% ', min_size=1, max_siz
 @st.composite
 def csv_panels(draw):
     """A finite n x p panel, distinct series labels and a strictly increasing
-    time column (bounded so that its differences cannot overflow)."""
-    n = draw(st.integers(min_value=3, max_value=40))
-    p = draw(st.integers(min_value=1, max_value=5))
+    time column (bounded so that its differences cannot overflow). Panels are
+    small, so that a failing example shrinks in seconds: quoting is per label
+    and float formatting per cell, so more cells would add no case."""
+    n = draw(st.integers(min_value=3, max_value=8))
+    p = draw(st.integers(min_value=1, max_value=3))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     values = draw(st.lists(st.lists(finite, min_size=p, max_size=p), min_size=n, max_size=n))
     time = draw(st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=n,

@@ -36,7 +36,9 @@ def argsort_hat_matrix(n, span_fraction, degree):
     """Reference L: each row's window found by a stable argsort of distances."""
     cfg = SmootherConfig(span_fraction=span_fraction, degree=degree)
     k = cfg.window_size(n)
-    if k < degree + 2:
+    # tricube weights are zero at the far end of a window and at both ends
+    # of a centred odd one, so fewer than degree + 2 points carry weight
+    if k - 1 - k % 2 < degree + 2:
         raise InsufficientDataError(
             f"window of {k} points cannot support a degree-{degree} local fit; "
             f"increase span_fraction or series length"
@@ -151,9 +153,17 @@ class TestEmpiricalSnr:
         assert wins >= 18
 
     def test_scale_invariance(self):
+        # the residual floor scales with the series, so no scale is degenerate
         rng = np.random.default_rng(9)
         y = rng.standard_normal(200)
-        assert empirical_snr(2.5 * y) == pytest.approx(empirical_snr(y), rel=1e-12)
+        expected = empirical_snr(y)
+        for c in [2.5, *10.0 ** np.arange(-150, 151, 10)]:
+            assert empirical_snr(c * y) == pytest.approx(expected, rel=1e-12), c
+
+    @pytest.mark.parametrize("value", [0.1, 123.456, 0.0])
+    def test_constant_series_degenerate(self, value):
+        with pytest.raises(DegenerateResidualError):
+            empirical_snr(np.full(150, value))
 
 
 class TestHatMatrix:
@@ -171,6 +181,21 @@ class TestHatMatrix:
             hat, df = _hat_matrix(n, cfg)
             assert np.array_equal(hat, expected), (n, span, degree)
             assert df == expected_df, (n, span, degree)
+
+    @pytest.mark.parametrize("degree, interpolating, smallest",
+                             [(0, (2, 3), 4), (1, (3,), 4), (2, (4, 5), 6)])
+    def test_smallest_window_does_not_interpolate(self, degree, interpolating, smallest):
+        # a fit on `interpolating` windows gives L = I, or df within 1 of n
+        n = 150
+        for k in (*interpolating, smallest):
+            cfg = SmootherConfig(span_fraction=k / n, degree=degree)
+            assert cfg.window_size(n) == k
+            if k < smallest:
+                with pytest.raises(InsufficientDataError):
+                    _hat_matrix(n, cfg)
+            else:
+                _, df = _hat_matrix(n, cfg)
+                assert df < 0.6 * n
 
     def test_one_hat_kept(self):
         rng = np.random.default_rng(5)

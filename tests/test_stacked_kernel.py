@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example as explicit_example
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,7 +96,7 @@ def redrawn(draw, rng):
             redraws += 1
 
 
-def checked_maf_stack(x, k, allow_singular):
+def checked_maf_stack(x, allow_singular):
     """`maf_stack`'s decomposition as it was when the kernel re-checked both
     covariances (`_check_symmetric`) and oriented each eigenvector with
     `sym_eig` (largest-magnitude component positive)."""
@@ -104,7 +105,7 @@ def checked_maf_stack(x, k, allow_singular):
     if not allow_singular:
         require_spd(cov_values, "sample covariance")
     diff_eig = sym_eig(covariance_stack(np.diff(x @ whitener, axis=1)), order="ascending")
-    coefficients = whitener @ diff_eig.vectors[..., :k]
+    coefficients = whitener @ diff_eig.vectors
     factors = x @ coefficients
     diff_values = diff_eig.values
     if np.any(singular):
@@ -238,18 +239,24 @@ def unsmoothed(monkeypatch):
 
 class TestKernel:
     def test_stack_matches_compute_maf_per_panel(self, rng):
-        x = rng.standard_normal((5, 60, 3)).cumsum(axis=1) + rng.standard_normal((5, 60, 3))
-        stack = maf_stack(x, 2)
-        assert stack.factors.shape == (5, 60, 2) and stack.coefficients.shape == (5, 3, 2)
-        assert not stack.singular.any()
-        for i in range(5):
-            one = compute_maf(x[i])
-            # compute_maf only adds the trend-sign rule on top
-            signs = np.sign(np.sum(one.coefficients[:, :2] * stack.coefficients[i], axis=0))
-            np.testing.assert_allclose(stack.coefficients[i] * signs,
-                                       one.coefficients[:, :2], atol=TOL)
-            np.testing.assert_allclose(stack.factors[i] * signs, one.factors[:, :2], atol=TOL)
-            np.testing.assert_allclose(stack.diff_eigenvalues[i], one.diff_eigenvalues, atol=TOL)
+        # every row of a stack is bitwise the stack of that panel alone, and
+        # compute_maf of it up to the trend sign, which is all it adds on top
+        for m, n, p in [(5, 60, 3), (4, 30, 1), (26, 150, 4), (3, 8, 6), (9, 3, 1)]:
+            x = rng.standard_normal((m, n, p)).cumsum(axis=1) + rng.standard_normal((m, n, p))
+            stack = maf_stack(x)
+            assert stack.factors.shape == (m, n, p) and stack.coefficients.shape == (m, p, p)
+            assert not stack.singular.any()
+            for i in range(m):
+                alone = maf_stack(x[i:i + 1])
+                for name, values in stack._asdict().items():
+                    np.testing.assert_array_equal(values[i], getattr(alone, name)[0],
+                                                  err_msg=name)
+                one = compute_maf(x[i])
+                signs = np.where(np.sum(one.coefficients * stack.coefficients[i], axis=0) < 0,
+                                 -1.0, 1.0)
+                np.testing.assert_array_equal(stack.coefficients[i] * signs, one.coefficients)
+                np.testing.assert_array_equal(stack.factors[i] * signs, one.factors)
+                np.testing.assert_array_equal(stack.diff_eigenvalues[i], one.diff_eigenvalues)
 
     def test_singular_panel_flagged_or_raised(self, rng):
         x = rng.standard_normal((4, 40, 2))
@@ -272,8 +279,6 @@ class TestKernel:
                 maf_stack(x)
         with pytest.raises(InvalidInputError):
             maf_stack(np.zeros((20, 2)))
-        with pytest.raises(InvalidInputError):
-            maf_stack(rng.standard_normal((2, 20, 2)), k=3)
 
     @pytest.mark.parametrize("allow_singular", [False, True])
     def test_overflowing_covariance_is_invalid_input(self, rng, allow_singular):
@@ -342,7 +347,7 @@ class TestStreams:
                 panels.append(rng.standard_normal((10, 2)))
             return np.stack(panels)
 
-        list(inference._replicates(seed, STREAM_KEYS, 10, 2, 1, draw))
+        list(inference._replicates(seed, STREAM_KEYS, 10, 2, draw))
         assert states == [np.random.default_rng(child).bit_generator.state
                           for child in children]
 
@@ -355,7 +360,20 @@ class TestStreams:
     def test_driver_checks_seeding_against_numpy(self, monkeypatch, constant):
         monkeypatch.setattr(inference, constant, getattr(inference, constant) ^ 2)
         with pytest.raises(RuntimeError, match="no longer matches"):
-            next(inference._replicates(0, range(3), 10, 2, 1, lambda rngs: None))
+            next(inference._replicates(0, range(3), 10, 2, lambda rngs: None))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**512),
+       keys=st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=4))
+@explicit_example(seed=2**128 - 1, keys=[0])  # the largest 4-word seed: 16 hashes
+@explicit_example(seed=2**128, keys=[0])  # the smallest 5-word seed: 20 hashes
+def test_stream_words_match_seed_sequence(seed, keys):
+    # seeds of 1 to 17 uint32 words cover both sides of the 4 * max(4, w)
+    # hash count that `_stream_words` skips past
+    expected = [np.random.SeedSequence(seed, spawn_key=(key,)).generate_state(4, np.uint64)
+                for key in keys]
+    np.testing.assert_array_equal(inference._stream_words(seed, keys), expected)
 
 
 def start_state(rng):
@@ -404,14 +422,14 @@ def loop_collinear(seed, B, collinear):
 
 class TestDriver:
     def check_redraws(self, seed, B, collinear):
-        chunks = list(inference._replicates(seed, range(B), 150, 4, 2,
+        chunks = list(inference._replicates(seed, range(B), 150, 4,
                                             collinear_draw(seed, B, collinear)))
         _, stop, _, _, redraws = chunks[-1]
         assert stop == B and redraws == sum(collinear.values())
         panels = loop_collinear(seed, B, collinear)
         # the yielded panels are the ones the stacks decompose, redraws included
         np.testing.assert_array_equal(np.concatenate([chunk[2] for chunk in chunks]), panels)
-        expected = maf_stack(panels, 2)
+        expected = maf_stack(panels)
         for name, values in expected._asdict().items():
             got = np.concatenate([getattr(stack, name) for _, _, _, stack, _ in chunks])
             np.testing.assert_allclose(got, values, rtol=TOL, atol=TOL, err_msg=name)
@@ -653,7 +671,7 @@ def test_maf_stack_matches_the_checked_and_oriented_kernel(m, p, extra_rows, sin
     # singular flags and NaNs bit for bit, and the same factors up to the
     # sign of each column, as the re-checking kernel did
     rng = np.random.default_rng(seed)
-    n, k = max(p + extra_rows, 3), int(rng.integers(1, p + 1))
+    n = max(p + extra_rows, 3)
     x = rng.standard_normal((m, n, p)).cumsum(axis=1) + rng.standard_normal((m, n, p))
     x *= 10.0 ** (rng.integers(-8, 9) + rng.uniform(-2.0, 2.0, size=p))
     for i in np.flatnonzero(rng.random(m) < singular_frac):
@@ -662,12 +680,12 @@ def test_maf_stack_matches_the_checked_and_oriented_kernel(m, p, extra_rows, sin
         else:
             x[i] = 1.5
     try:
-        expected = checked_maf_stack(x, k, allow_singular)
+        expected = checked_maf_stack(x, allow_singular)
     except SingularMatrixError:
         with pytest.raises(SingularMatrixError):
-            maf_stack(x, k, allow_singular)
+            maf_stack(x, allow_singular)
         return
-    stack = maf_stack(x, k, allow_singular)
+    stack = maf_stack(x, allow_singular)
     np.testing.assert_array_equal(stack.diff_eigenvalues, expected.diff_eigenvalues)
     np.testing.assert_array_equal(stack.singular, expected.singular)
     dots = np.sum(stack.coefficients * expected.coefficients, axis=1, keepdims=True)
