@@ -11,13 +11,13 @@ replicates through one driver, `_replicates`. It computes the PCG64
 starting states of all the streams in bulk: numpy's SeedSequence mixes the
 seed once, `_stream_words` mixes each replicate's spawn key into that pool
 over arrays, and `_pcg64_state` writes out PCG64's seeding. Every
-replicate is drawn through one reused Generator set to its stream's state.
-Replicate panels are drawn one by one, each from its own stream, then
-decomposed together by `maf.maf_stack` in chunks of about CHUNK_BYTES of
-values, which keeps memory flat in B. The kernel returns all p factors of
-each panel, and each caller slices the ones its statistic uses. A singular
-replicate is redrawn from its own stream; more than 10% of B redraws is an
-error.
+replicate, redraws included, is drawn through one reused Generator set to
+its stream's state. Replicate panels are drawn one by one, each from its
+own stream, then decomposed together by `maf.maf_stack` in chunks of about
+CHUNK_BYTES of values, which keeps memory flat in B. The kernel returns all
+p factors of each panel, and each caller slices the ones its statistic
+uses. A singular replicate is redrawn from its own stream; more than 10% of
+B redraws is an error.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .errors import (
     InvalidInputError,
     SingularMatrixError,
 )
+from .linalg import unit_scale_columns
 from .maf import compute_maf, compute_pca, lag1_autocorrelation, maf_stack, no_spread
 from .panel import as_panel
 from .simulate import SignalSpec, gen_signal, gen_sn_stack, noise_cholesky
@@ -82,25 +83,23 @@ def _hashmix(values: np.ndarray, init: int, mult: int, start: int) -> np.ndarray
     return values ^ (values >> np.uint32(16))
 
 
-def _stream_words(seed: int, keys) -> np.ndarray:
+def _stream_words(seed: int, keys: range) -> np.ndarray:
     """PCG64 seed words of every replicate stream, as a (len(keys), 4) array.
 
     Row i equals `SeedSequence(seed, spawn_key=(keys[i],)).generate_state(4,
     np.uint64)`, which is `SeedSequence(seed).spawn(B)[b]` for key b. The
-    keys share the seed's entropy, so they start from numpy's mix of it,
-    `SeedSequence(seed).pool`; only the spawn key, their last entropy word,
-    is mixed in here, over all keys at once. Before it, a seed of w uint32
-    words has used 4 * max(4, w) hashes.
+    keys, a non-empty range, share the seed's entropy, so they start from
+    numpy's mix of it, `SeedSequence(seed).pool`; only the spawn key, their
+    last entropy word, is mixed in here, over all keys at once. Before it, a
+    seed of w uint32 words has used 4 * max(4, w) hashes.
     """
     seed = operator.index(seed)
-    keys = np.asarray(keys, dtype=np.int64)
     if seed < 0:
         raise InvalidConfigError(f"seed must be non-negative, got {seed}")
-    if keys.min() < 0 or keys.max() > _MASK32:
+    if min(keys[0], keys[-1]) < 0 or max(keys[0], keys[-1]) > _MASK32:
         raise InvalidConfigError("replicate keys must lie in [0, 2**32)")
-    seed_words = max(1, -(-seed.bit_length() // 32))
-    hashed = _hashmix(np.tile(keys.astype(np.uint32), (4, 1)), _INIT_A, _MULT_A,
-                      4 * max(4, seed_words))
+    keys = np.tile(np.arange(keys.start, keys.stop, keys.step, dtype=np.uint32), (4, 1))
+    hashed = _hashmix(keys, _INIT_A, _MULT_A, 4 * max(4, -(-seed.bit_length() // 32)))
     pool = np.random.SeedSequence(seed).pool[:, None]
     mixed = np.uint32(_MIX_L) * pool - np.uint32(_MIX_R) * hashed
     mixed ^= mixed >> np.uint32(16)
@@ -117,7 +116,7 @@ def _pcg64_state(seed_hi: int, seed_lo: int, seq_hi: int, seq_lo: int) -> dict:
             "has_uint32": 0, "uinteger": 0}
 
 
-def _replicates(seed: int, keys, n: int, p: int, draw):
+def _replicates(seed: int, keys: range, n: int, p: int, draw):
     """Decompose one (n, p) panel per replicate key, by chunks.
 
     Replicate `keys[i]` draws exactly what `default_rng(SeedSequence(seed,
@@ -127,17 +126,17 @@ def _replicates(seed: int, keys, n: int, p: int, draw):
     generator from a lazy iterator, which sets the next replicate's state
     only when asked for it, so each replicate's draws finish first. Each
     chunk of at most CHUNK_BYTES of values goes through one `maf_stack`
-    call. A singular replicate gets a generator of its own: its first draw
-    is replayed and discarded, and it is redrawn from that generator until
-    it is not singular; more than 10% of B redraws in all raises
-    SingularMatrixError. Yields (start, stop, panels, MafStack, redraws so
-    far), where `panels[i]` is the panel that the MafStack's row i
-    decomposes: a redrawn replicate's last draw, not its discarded first.
+    call. A singular replicate is redrawn alone from its own stream, on the
+    same Generator: its first draw is replayed and discarded, and each next
+    draw is patched into the chunk until it is not singular; more than 10%
+    of B redraws in all raises SingularMatrixError. Yields (start, stop,
+    panels, MafStack, redraws so far), where `panels[i]` is the panel that
+    the MafStack's row i decomposes: a redrawn replicate's last draw.
     """
     words = _stream_words(seed, keys)
     B = len(words)
     # the first stream checked against numpy's own seeding, once per call
-    first = np.random.SeedSequence(seed, spawn_key=(int(keys[0]),))
+    first = np.random.SeedSequence(seed, spawn_key=(keys[0],))
     rng = np.random.default_rng(first)
     bitgen = rng.bit_generator
     if not (np.array_equal(first.generate_state(4, np.uint64), words[0])
@@ -157,25 +156,18 @@ def _replicates(seed: int, keys, n: int, p: int, draw):
         stop = min(start + size, B)
         panels = draw(streams(words[start:stop]))
         stack = maf_stack(panels, allow_singular=True)
-        singular = np.flatnonzero(stack.singular)
-        if singular.size:
-            rngs = [np.random.default_rng(np.random.SeedSequence(
-                seed, spawn_key=(int(keys[start + i]),))) for i in singular]
-            draw(iter(rngs))  # replays the singular first draws
-        while singular.size:
-            redraws += singular.size
-            if redraws > budget:
-                raise SingularMatrixError(
-                    f"singular replicates needed more than {budget} redraws, the "
-                    f"budget of 10% of B={B}; panel too close to singular"
-                )
-            redrawn = draw(iter(rngs))
-            rep = maf_stack(redrawn, allow_singular=True)
-            panels[singular] = redrawn
-            for field_values, values in zip(stack, rep):
-                field_values[singular] = values
-            singular = singular[rep.singular]
-            rngs = [r for r, bad in zip(rngs, rep.singular) if bad]
+        for i in np.flatnonzero(stack.singular):
+            draw(streams(words[start + i:start + i + 1]))  # replays the first draw
+            while stack.singular[i]:
+                redraws += 1
+                if redraws > budget:
+                    raise SingularMatrixError(
+                        f"singular replicates needed more than {budget} redraws, the "
+                        f"budget of 10% of B={B}; panel too close to singular"
+                    )
+                panels[i] = draw(iter([rng]))[0]
+                for old, new in zip(stack, maf_stack(panels[i:i + 1], allow_singular=True)):
+                    old[i] = new[0]
         yield start, stop, panels, stack, redraws
 
 
@@ -463,8 +455,8 @@ EXPERIMENT_STATISTICS = ("maf1_correlation", "pca1_correlation", "pc12_multiple_
 
 def correlation_with_signal(factor, f) -> float:
     """Absolute sample correlation between a factor series and the signal."""
-    x = np.asarray(factor, dtype=float).ravel()
-    y = np.asarray(f, dtype=float).ravel()
+    x, _ = unit_scale_columns(np.asarray(factor, dtype=float).ravel())
+    y, _ = unit_scale_columns(np.asarray(f, dtype=float).ravel())
     if x.shape != y.shape:
         raise InvalidInputError("factor and signal must have the same length")
     if no_spread(x) or no_spread(y):
@@ -474,7 +466,7 @@ def correlation_with_signal(factor, f) -> float:
 
 def multi_factor_r(f, factors) -> float:
     """sqrt(R^2) from regressing the signal on k factor series plus an intercept."""
-    y = np.asarray(f, dtype=float).ravel()
+    y, _ = unit_scale_columns(np.asarray(f, dtype=float).ravel())
     x = np.asarray(factors, dtype=float)
     if x.ndim == 1:
         x = x[:, None]

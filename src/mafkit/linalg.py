@@ -64,6 +64,12 @@ def covariance_stack(x: np.ndarray) -> np.ndarray:
     return 0.5 * (cov + _swap(cov))
 
 
+def unit_scale_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns scaled exactly, by powers of two, to peak |values| in [0.5, 1), and those peaks."""
+    peaks, exponents = np.frexp(np.abs(values).max(axis=0, initial=0.0))
+    return np.ldexp(values, -exponents), peaks
+
+
 def lag1_diff_covariance(panel) -> np.ndarray:
     """Sample covariance of the row-differenced panel (n-1 rows, 1/(n-2))."""
     panel = as_panel(panel)

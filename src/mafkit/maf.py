@@ -35,6 +35,7 @@ from .linalg import (
     sample_covariance,
     spd_singular,
     sym_eig,
+    unit_scale_columns,
 )
 from .panel import TimeSeriesPanel, as_panel
 
@@ -251,7 +252,7 @@ def factor_autocorrelation(series) -> float:
     """Lag-1 autocorrelation of one series via the variance-ratio identity.
 
     `lag1_autocorrelation` of the centered sample variances of the series
-    and of its differences.
+    and of its differences, after `unit_scale_columns`.
 
     Raises
     ------
@@ -260,7 +261,7 @@ def factor_autocorrelation(series) -> float:
     InsufficientDataError
         If the series has fewer than 3 observations.
     """
-    y = np.asarray(series, dtype=float).ravel()
+    y, _ = unit_scale_columns(np.asarray(series, dtype=float).ravel())
     if y.size < 3:
         raise InsufficientDataError(f"autocorrelation needs at least 3 points, got {y.size}")
     if not np.all(np.isfinite(y)):
@@ -271,11 +272,9 @@ def factor_autocorrelation(series) -> float:
 
 
 def no_spread(y) -> bool:
-    """True if a series is constant, all its values equal (`np.ptp` == 0, the
-    rule `compute_maf` applies to each series; rounding leaves the variance
-    of most constant series above 0), or so flat that its variance
-    underflows to 0. The rule of every statistic that needs a spread."""
-    return bool(np.ptp(y) == 0.0 or np.var(y) == 0.0)
+    """True if a series is constant (`np.ptp` == 0): the rule of `compute_maf`
+    and of every statistic that needs a spread."""
+    return bool(np.ptp(y) == 0.0)
 
 
 def combination_autocorrelation(panel, weights) -> float:

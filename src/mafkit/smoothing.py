@@ -8,15 +8,16 @@ k - 1 - (k mod 2) >= d + 2 points of nonzero tricube weight, or it would
 interpolate. Only the most recent L is kept. Its trace is the smoother's
 degrees of freedom, needed for residual inflation in the resampling test.
 `smooth_columns` is the one way to apply L, to many columns at once;
-`snr_columns` takes its fitted values and residuals, and `loess_smooth` and
-`empirical_snr` are one-column cases. An SNR is undefined when a column's
-residual SD is at most 1e-12 of its largest magnitude, a floor that scales
-with the column.
+`snr_columns` takes its fitted values and residuals of columns rescaled
+exactly (`unit_scale_columns`), and `loess_smooth` and `empirical_snr` are
+one-column cases. An SNR is undefined when a column's residual SD is at
+most 1e-12 of its largest magnitude, a floor that scales with the column.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,6 +29,7 @@ from .errors import (
     InvalidConfigError,
     InvalidInputError,
 )
+from .linalg import unit_scale_columns
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,8 @@ class SmootherConfig:
             raise InvalidConfigError(
                 f"span_fraction must be in (0, 1], got {self.span_fraction}"
             )
-        if self.degree not in (0, 1, 2):
-            raise InvalidConfigError(f"degree must be 0, 1 or 2, got {self.degree}")
+        if not isinstance(self.degree, numbers.Integral) or self.degree not in (0, 1, 2):
+            raise InvalidConfigError(f"degree must be the integer 0, 1 or 2, got {self.degree!r}")
 
     def window_size(self, n: int) -> int:
         return int(math.ceil(self.span_fraction * n))
@@ -124,12 +126,12 @@ def snr_columns(values, cfg: SmootherConfig = SmootherConfig()) -> np.ndarray:
         at most 1e-12 of the column's largest magnitude (the series is
         itself smooth at this span, or constant).
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise InvalidInputError(f"expected an (n, c) array of series, got shape {values.shape}")
+    if np.ndim(values) != 2:
+        raise InvalidInputError(f"expected an (n, c) array of series, got shape {np.shape(values)}")
+    values, peaks = unit_scale_columns(np.asarray(values, dtype=float))
     fitted, residuals, _ = smooth_columns(values, cfg)
     sd_resid = residuals.std(axis=0)
-    if np.any(sd_resid <= 1e-12 * np.abs(values).max(axis=0)):
+    if np.any(sd_resid <= 1e-12 * peaks):
         raise DegenerateResidualError(
             "residual standard deviation is numerically zero; empirical SNR undefined"
         )

@@ -340,12 +340,35 @@ class TestCliCommands:
         assert err["error"]["type"] == "SingularMatrixError"
 
 
+def src_env():
+    """The environment with mafkit's source directory first on PYTHONPATH."""
+    src = str(Path(mafkit.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def test_module_entry_point_exits_with_main_code(tmp_path):
+    def run(csv, out):
+        return subprocess.run(
+            [sys.executable, "-m", "mafkit.cli", "decompose", "--input", str(csv),
+             "--output", str(tmp_path / out)],
+            env=src_env(), capture_output=True, text=True, timeout=120)
+
+    ok = run(example_panel_path(), "ok")
+    assert ok.returncode == 0, ok.stderr
+    assert (tmp_path / "ok" / "factors.csv").exists()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("a,b\n1,2\n3,x\n5,6\n7,8\n")
+    failed = run(bad, "bad")
+    assert failed.returncode == 3
+    error = json.loads(failed.stdout)["error"]
+    assert error["type"] == "CsvParseError" and error["exit_code"] == 3
+
+
 def test_import_does_not_load_scipy(tmp_path):
     # numpy is the only runtime dependency: with scipy blocked, every signal
     # kind and every command still runs
-    src = str(Path(mafkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = src_env()
     panel = str(example_panel_path())
     runs = [
         ["decompose", "--input", panel],

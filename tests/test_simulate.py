@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mafkit import (
     DegenerateSeriesError,
@@ -10,6 +12,7 @@ from mafkit import (
     compute_maf,
     compute_pca,
     correlation_with_signal,
+    empirical_snr,
     factor_autocorrelation,
     gen_signal,
     gen_sn_panel,
@@ -18,6 +21,8 @@ from mafkit import (
     sample_covariance,
     signal_lag1_coherence,
 )
+from mafkit.cli import ingest_csv
+from mafkit.datasets import example_panel_path
 
 
 class TestGenSignal:
@@ -103,8 +108,7 @@ class TestGenSnPanel:
 # (np.ptp == 0 is the rule, as in compute_maf), and a non-constant series
 # whose squared deviations underflow to 0.
 NO_SPREAD = {f"{value}x{n}": np.full(n, value)
-             for value in (0.1, 0.3, 2.7, 123.456) for n in (10, 150, 3005)}
-NO_SPREAD["underflowing"] = 1e-170 * np.random.default_rng(3).standard_normal(150)
+             for value in (0.1, 0.3, 2.7, 123.456, 1e300, 1e-300) for n in (10, 150, 3005)}
 
 
 class TestSignalStatistics:
@@ -132,6 +136,21 @@ class TestSignalStatistics:
             correlation_with_signal(series, ramp)
         with pytest.raises(DegenerateSeriesError):
             multi_factor_r(series, np.column_stack([ramp, np.sqrt(ramp)]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(exponent=st.floats(min_value=-300.0, max_value=300.0))
+    def test_statistics_are_free_of_scale(self, exponent):
+        # each statistic rescales its series by an exact power of two first,
+        # so no square overflows or underflows (a RuntimeWarning fails the
+        # test) and c * y differs from y only by c's rounding
+        values = ingest_csv(example_panel_path()).values
+        y, f, factors = values[:, 0], values[:, 1], values[:, 2:]
+
+        def statistics(c):
+            return [empirical_snr(c * y), factor_autocorrelation(c * y),
+                    correlation_with_signal(c * y, c * f), multi_factor_r(c * f, factors)]
+
+        np.testing.assert_allclose(statistics(10.0 ** exponent), statistics(1.0), rtol=1e-14)
 
     def test_single_factor_r_equals_correlation(self):
         rng = np.random.default_rng(14)

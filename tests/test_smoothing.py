@@ -121,11 +121,11 @@ class TestLoessSmooth:
         with pytest.raises(InsufficientDataError):
             loess_smooth(np.arange(10.0), SmootherConfig(span_fraction=0.2, degree=2))
 
-    def test_config_validation(self):
+    @pytest.mark.parametrize("kwargs", [{"span_fraction": 0.0}, {"degree": 3},
+                                        {"degree": 1.0}, {"degree": 2.5}])
+    def test_config_validation(self, kwargs):
         with pytest.raises(InvalidConfigError):
-            SmootherConfig(span_fraction=0.0)
-        with pytest.raises(InvalidConfigError):
-            SmootherConfig(degree=3)
+            SmootherConfig(**kwargs)
 
 
 class TestEmpiricalSnr:
@@ -160,7 +160,7 @@ class TestEmpiricalSnr:
         for c in [2.5, *10.0 ** np.arange(-150, 151, 10)]:
             assert empirical_snr(c * y) == pytest.approx(expected, rel=1e-12), c
 
-    @pytest.mark.parametrize("value", [0.1, 123.456, 0.0])
+    @pytest.mark.parametrize("value", [0.1, 123.456, 0.0, 1e300, 1e-300])
     def test_constant_series_degenerate(self, value):
         with pytest.raises(DegenerateResidualError):
             empirical_snr(np.full(150, value))

@@ -322,7 +322,8 @@ class TestKernel:
             )
 
 
-STREAM_KEYS = [0, 1, 4998, 5999, 65536, 2**32 - 1]
+# one-key ranges, as the driver takes its keys
+STREAM_KEYS = [range(key, key + 1) for key in (0, 1, 4998, 5999, 65536, 2**32 - 1)]
 STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**130 + 5]
 
 
@@ -333,10 +334,10 @@ class TestStreams:
 
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
     def test_words_and_states_match_numpy(self, seed):
-        words = inference._stream_words(seed, STREAM_KEYS)
-        children = [np.random.SeedSequence(seed, spawn_key=(key,)) for key in STREAM_KEYS]
-        for row, child in zip(words, children):
-            np.testing.assert_array_equal(row, child.generate_state(4, np.uint64))
+        children = [np.random.SeedSequence(seed, spawn_key=(keys[0],)) for keys in STREAM_KEYS]
+        for keys, child in zip(STREAM_KEYS, children):
+            np.testing.assert_array_equal(inference._stream_words(seed, keys),
+                                          [child.generate_state(4, np.uint64)])
         # the driver's shared generator holds each child's starting state
         states = []
 
@@ -347,11 +348,14 @@ class TestStreams:
                 panels.append(rng.standard_normal((10, 2)))
             return np.stack(panels)
 
-        list(inference._replicates(seed, STREAM_KEYS, 10, 2, draw))
+        for keys in STREAM_KEYS:
+            list(inference._replicates(seed, keys, 10, 2, draw))
         assert states == [np.random.default_rng(child).bit_generator.state
                           for child in children]
 
-    @pytest.mark.parametrize("seed, keys", [(-1, [0]), (0, [2**32]), (0, [-1])])
+    @pytest.mark.parametrize("seed, keys", [(-1, range(1)), (0, range(2**32, 2**32 + 1)),
+                                            (0, range(2**32 - 1, 2**32 + 1)),
+                                            (0, range(-1, 0))])
     def test_rejects_negative_seed_and_wide_keys(self, seed, keys):
         with pytest.raises(InvalidConfigError):
             inference._stream_words(seed, keys)
@@ -365,12 +369,14 @@ class TestStreams:
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**512),
-       keys=st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=4))
-@explicit_example(seed=2**128 - 1, keys=[0])  # the largest 4-word seed: 16 hashes
-@explicit_example(seed=2**128, keys=[0])  # the smallest 5-word seed: 20 hashes
-def test_stream_words_match_seed_sequence(seed, keys):
+       start=st.integers(min_value=0, max_value=2**32 - 4),
+       length=st.integers(min_value=1, max_value=4))
+@explicit_example(seed=2**128 - 1, start=0, length=1)  # the largest 4-word seed: 16 hashes
+@explicit_example(seed=2**128, start=0, length=1)  # the smallest 5-word seed: 20 hashes
+def test_stream_words_match_seed_sequence(seed, start, length):
     # seeds of 1 to 17 uint32 words cover both sides of the 4 * max(4, w)
     # hash count that `_stream_words` skips past
+    keys = range(start, start + length)
     expected = [np.random.SeedSequence(seed, spawn_key=(key,)).generate_state(4, np.uint64)
                 for key in keys]
     np.testing.assert_array_equal(inference._stream_words(seed, keys), expected)
@@ -447,6 +453,22 @@ class TestDriver:
         chunks = self.check_redraws(42, 30, {5: 2, 6: 1})
         assert any(start <= 5 and 6 < stop for start, stop, _, _, _ in chunks) == (
             chunk_bytes > 8 * 150 * 4)
+
+    def test_redraws_build_no_seed_sequence(self, monkeypatch):
+        # a redraw resets the driver's one Generator to the replicate's
+        # stream, so the pool and the first stream's self-check stay the only
+        # SeedSequences however many replicates are redrawn
+        draw = collinear_draw(42, 30, {5: 2, 6: 1})
+        built = []
+        seed_sequence = np.random.SeedSequence
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counted)
+        chunks = list(inference._replicates(42, range(30), 150, 4, draw))
+        assert chunks[-1][-1] == 3 and len(built) == 2
 
 
 class TestPresence:
