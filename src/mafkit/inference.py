@@ -30,13 +30,12 @@ from functools import partial
 import numpy as np
 
 from .errors import (
-    DegenerateSeriesError,
     InvalidConfigError,
     InvalidInputError,
     SingularMatrixError,
 )
-from .linalg import unit_scale_columns
-from .maf import compute_maf, compute_pca, lag1_autocorrelation, maf_stack, no_spread
+from .linalg import unit_scale_columns, unit_series
+from .maf import compute_maf, compute_pca, lag1_autocorrelation, maf_stack
 from .panel import as_panel
 from .simulate import SignalSpec, gen_signal, gen_sn_stack, noise_cholesky
 from .smoothing import SmootherConfig, empirical_snr, smooth_columns, snr_columns
@@ -454,22 +453,23 @@ EXPERIMENT_STATISTICS = ("maf1_correlation", "pca1_correlation", "pc12_multiple_
 
 
 def correlation_with_signal(factor, f) -> float:
-    """Absolute sample correlation between a factor series and the signal."""
-    x, _ = unit_scale_columns(np.asarray(factor, dtype=float).ravel())
-    y, _ = unit_scale_columns(np.asarray(f, dtype=float).ravel())
+    """Absolute sample correlation between a factor series and the signal,
+    both taken through `unit_series`, whose errors it raises."""
+    x, y = unit_series(factor), unit_series(f)
     if x.shape != y.shape:
         raise InvalidInputError("factor and signal must have the same length")
-    if no_spread(x) or no_spread(y):
-        raise DegenerateSeriesError("correlation undefined for a constant series")
     return float(abs(np.corrcoef(x, y)[0, 1]))
 
 
 def multi_factor_r(f, factors) -> float:
-    """sqrt(R^2) from regressing the signal on k factor series plus an intercept."""
-    y, _ = unit_scale_columns(np.asarray(f, dtype=float).ravel())
+    """sqrt(R^2) from regressing the signal on k factor series plus an intercept.
+
+    The signal goes through `unit_series` and the factors, one series or
+    one per column, through `unit_scale_columns`, whose errors it raises.
+    """
+    y = unit_series(f)
     x = np.asarray(factors, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    x, _ = unit_scale_columns(x[:, None] if x.ndim == 1 else x)
     n, k = x.shape
     if y.size != n:
         raise InvalidInputError("signal and factors must have the same length")
@@ -478,8 +478,6 @@ def multi_factor_r(f, factors) -> float:
     design = np.column_stack([np.ones(n), x])
     if np.linalg.matrix_rank(design) < k + 1:
         raise InvalidInputError("factor matrix is rank deficient")
-    if no_spread(y):
-        raise DegenerateSeriesError("signal is constant")
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
     r2 = 1.0 - float(resid @ resid) / float(np.sum((y - y.mean()) ** 2))

@@ -14,6 +14,11 @@ points for matrices from outside, `inverse_sqrt`, `sym_eig` and
 `assert_spd`, check them with `_check_symmetric` first. `_fix_signs` is the
 one orientation of `sym_eig`'s eigenvectors and of unit weight vectors
 (`unit_direction`).
+
+`unit_series` is the one rule for the input of a series statistic (one
+series of at least 3 finite points, not constant), which it rescales by
+the exact power of two of `unit_scale_columns`; blocks of columns go
+through `unit_scale_columns` itself, which rejects a NaN or inf.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidInputError, SingularMatrixError
+from .errors import (DegenerateSeriesError, InsufficientDataError, InvalidInputError,
+                     SingularMatrixError)
 from .panel import as_panel
 
 # Relative eigenvalue floor below which a matrix is treated as singular.
@@ -65,9 +71,51 @@ def covariance_stack(x: np.ndarray) -> np.ndarray:
 
 
 def unit_scale_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns scaled exactly, by powers of two, to peak |values| in [0.5, 1), and those peaks."""
+    """Columns scaled exactly, by powers of two, to peak |values| in [0.5, 1), and those peaks.
+
+    Raises InvalidInputError if a value is NaN or inf (so is its column's peak).
+    """
     peaks, exponents = np.frexp(np.abs(values).max(axis=0, initial=0.0))
+    if not np.all(np.isfinite(peaks)):
+        raise InvalidInputError("series contains non-finite values")
     return np.ldexp(values, -exponents), peaks
+
+
+def one_column(series) -> np.ndarray:
+    """One series, given 1-D or as one column, as an (n, 1) float column.
+
+    Raises InvalidInputError for any other shape, so a block of series is
+    never read as one long series.
+    """
+    y = np.asarray(series, dtype=float)
+    if y.ndim not in (1, 2) or y.shape[1:] not in ((), (1,)):
+        raise InvalidInputError(f"expected one series, 1-D or one column, got shape {y.shape}")
+    return y.reshape(-1, 1)
+
+
+def unit_series(series) -> np.ndarray:
+    """The one rule for a series statistic's input, which it returns 1-D and
+    rescaled by `unit_scale_columns`: one series (`one_column`) of at least 3
+    finite points that is not constant (`np.ptp` == 0, as in `compute_maf`).
+
+    Statistics free of scale compute on the result, so no square over- or
+    underflows for a series of any magnitude.
+
+    Raises
+    ------
+    InvalidInputError
+        If the input is not one series, or holds a NaN or inf.
+    InsufficientDataError
+        If the series has fewer than 3 points.
+    DegenerateSeriesError
+        If the series is constant.
+    """
+    y = unit_scale_columns(one_column(series))[0][:, 0]
+    if y.size < 3:
+        raise InsufficientDataError(f"a series needs at least 3 points, got {y.size}")
+    if np.ptp(y) == 0.0:
+        raise DegenerateSeriesError("series is constant")
+    return y
 
 
 def lag1_diff_covariance(panel) -> np.ndarray:

@@ -9,7 +9,10 @@ autocorrelation r = 1 - K/2 among all linear combinations of the input
 series; successive factors maximize autocorrelation subject to being
 uncorrelated with the earlier ones. `lag1_autocorrelation` is the one
 autocorrelation formula and `standardize_columns` the one standardization
-(PCA and the CLI's `--standardize`).
+(PCA and the CLI's `--standardize`). `factor_autocorrelation` takes its
+series through `linalg.unit_series`, the one rule for a series statistic's
+input, and MAF is free of scale like it: `maf_stack` scales each panel by a
+power of two first.
 
 `maf_stack` runs this algorithm over a stack of panels of one shape with
 batched numpy linear algebra (Switzer & Green 1984). One eigendecomposition
@@ -36,6 +39,7 @@ from .linalg import (
     spd_singular,
     sym_eig,
     unit_scale_columns,
+    unit_series,
 )
 from .panel import TimeSeriesPanel, as_panel
 
@@ -110,10 +114,14 @@ class MafStack(NamedTuple):
 def maf_stack(x, allow_singular: bool = False) -> MafStack:
     """MAF decomposition of every panel of an (m, n, p) stack at once.
 
-    Per panel: centered covariance S, whitening by S^{-1/2} (batched
+    Per panel: scaling by the one power of two that puts its peak |value|
+    in [0.5, 1), centered covariance S, whitening by S^{-1/2} (batched
     eigh), covariance of the differenced whitened rows, and its ascending
     eigendecomposition (batched `np.linalg.eigh`), which yields all p
-    factors at once; a caller that needs fewer slices them. Both
+    factors at once; a caller that needs fewer slices them. The scaling is
+    exact and the coefficients are scaled back, so the result does not
+    depend on the panel's scale, and no covariance over- or underflows,
+    for any |values| from about 1e-300 to 1e300. Both
     covariances come from `covariance_stack`, exactly symmetric, so
     neither is re-checked. No sign rule is applied: each factor keeps
     LAPACK's sign, and the callers set theirs (`compute_maf` the trend
@@ -123,10 +131,8 @@ def maf_stack(x, allow_singular: bool = False) -> MafStack:
     Raises
     ------
     InvalidInputError
-        If `x` is not a 3-D array, or if a panel's sample covariance is not
-        finite: the panel holds a NaN or inf, or its covariance overflows
-        (|values| of about 1e153 and up, which numpy also reports with an
-        overflow RuntimeWarning).
+        If `x` is not a 3-D array, or a panel holds a NaN or inf (one
+        finiteness check, on the sample covariance).
     InsufficientDataError
         If n <= p, or n < 3 (the differenced covariance needs two rows).
     SingularMatrixError
@@ -144,10 +150,13 @@ def maf_stack(x, allow_singular: bool = False) -> MafStack:
             f"MAF needs more time steps than series and at least 3, got n={n}, p={p}"
         )
 
-    # one check for both: a non-finite value in x makes the covariance non-finite
+    # the scaling is exact, so x @ whitener and the factors keep every bit;
+    # only the coefficients carry it, and are scaled back below
+    _, exponents = np.frexp(np.abs(x).max(axis=(1, 2), keepdims=True))
+    x = np.ldexp(x, -exponents)
     cov = covariance_stack(x)
     if not np.all(np.isfinite(cov)):
-        raise InvalidInputError("panel has non-finite values, or its covariance overflows")
+        raise InvalidInputError("panel has non-finite values")
     whitener, cov_values = inverse_sqrt_stack(cov)
     singular = spd_singular(cov_values)
     if not allow_singular:
@@ -155,6 +164,7 @@ def maf_stack(x, allow_singular: bool = False) -> MafStack:
     diff_values, vectors = np.linalg.eigh(covariance_stack(np.diff(x @ whitener, axis=1)))
     coefficients = whitener @ vectors
     factors = x @ coefficients
+    coefficients = np.ldexp(coefficients, -exponents)
     if np.any(singular):
         coefficients[singular] = factors[singular] = diff_values[singular] = np.nan
     return MafStack(coefficients, factors, diff_values, singular)
@@ -231,8 +241,11 @@ def compute_pca(panel, standardize: bool = True) -> PcaDecomposition:
 
 def standardize_columns(values: np.ndarray) -> np.ndarray:
     """Center each column and scale it by its ddof=1 standard deviation; a
-    zero-variance column is left unscaled, so rank-deficient panels decompose."""
-    x = values - values.mean(axis=0)
+    zero-variance column is left unscaled, so rank-deficient panels decompose.
+    The columns are first scaled exactly (`unit_scale_columns`), so no
+    variance over- or underflows and the result does not depend on scale."""
+    x, _ = unit_scale_columns(values)
+    x = x - x.mean(axis=0)
     scale = x.std(axis=0, ddof=1)
     scale[scale == 0.0] = 1.0
     return x / scale
@@ -252,29 +265,11 @@ def factor_autocorrelation(series) -> float:
     """Lag-1 autocorrelation of one series via the variance-ratio identity.
 
     `lag1_autocorrelation` of the centered sample variances of the series
-    and of its differences, after `unit_scale_columns`.
-
-    Raises
-    ------
-    DegenerateSeriesError
-        If the series is constant.
-    InsufficientDataError
-        If the series has fewer than 3 observations.
+    and of its differences, taken on `unit_series`, whose errors it raises
+    (a series of at least 3 finite points that is not constant).
     """
-    y, _ = unit_scale_columns(np.asarray(series, dtype=float).ravel())
-    if y.size < 3:
-        raise InsufficientDataError(f"autocorrelation needs at least 3 points, got {y.size}")
-    if not np.all(np.isfinite(y)):
-        raise InvalidInputError("series contains non-finite values")
-    if no_spread(y):
-        raise DegenerateSeriesError("series is constant; autocorrelation undefined")
+    y = unit_series(series)
     return float(lag1_autocorrelation(np.diff(y).var(ddof=1), y.var(ddof=1)))
-
-
-def no_spread(y) -> bool:
-    """True if a series is constant (`np.ptp` == 0): the rule of `compute_maf`
-    and of every statistic that needs a spread."""
-    return bool(np.ptp(y) == 0.0)
 
 
 def combination_autocorrelation(panel, weights) -> float:

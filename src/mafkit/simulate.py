@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSeriesError, InvalidConfigError, InvalidInputError
+from .linalg import unit_series
 from .oracles import equicorrelation_noise_cov, validated_noise_cov
 from .panel import TimeSeriesPanel
 
@@ -59,14 +60,10 @@ def gen_signal(spec: SignalSpec) -> np.ndarray:
 
 
 def signal_lag1_coherence(f) -> float:
-    """Lag-1 coherence sum f(t) f(t+1) / sum f(t)^2 of a (normalized) signal."""
-    f = np.asarray(f, dtype=float).ravel()
-    if f.size < 3:
-        raise InvalidInputError("coherence needs at least 3 points")
-    denom = float(f @ f)
-    if denom <= 0.0:
-        raise DegenerateSeriesError("signal is identically zero")
-    return float(f[:-1] @ f[1:]) / denom
+    """Lag-1 coherence sum f(t) f(t+1) / sum f(t)^2 of a (normalized) signal,
+    taken on `unit_series`, whose errors it raises."""
+    f = unit_series(f)
+    return float(f[:-1] @ f[1:]) / float(f @ f)
 
 
 def noise_cholesky(noise, p: int) -> np.ndarray:

@@ -9,9 +9,10 @@ interpolate. Only the most recent L is kept. Its trace is the smoother's
 degrees of freedom, needed for residual inflation in the resampling test.
 `smooth_columns` is the one way to apply L, to many columns at once;
 `snr_columns` takes its fitted values and residuals of columns rescaled
-exactly (`unit_scale_columns`), and `loess_smooth` and `empirical_snr` are
-one-column cases. An SNR is undefined when a column's residual SD is at
-most 1e-12 of its largest magnitude, a floor that scales with the column.
+exactly (`unit_scale_columns`, which also rejects a NaN or inf), and
+`loess_smooth` and `empirical_snr` are their one-series cases
+(`one_column`). An SNR is undefined when a column's residual SD is at most
+1e-12 of its largest magnitude, a floor that scales with the column.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     InvalidConfigError,
     InvalidInputError,
 )
-from .linalg import unit_scale_columns
+from .linalg import one_column, unit_scale_columns
 
 
 @dataclass(frozen=True)
@@ -96,17 +97,25 @@ def loess_smooth(series, cfg: SmootherConfig = SmootherConfig()) -> SmoothResult
     Each point is fit from its `ceil(span_fraction * n)` nearest neighbors
     with tricube weights scaled by the window radius; windows become
     one-sided near the edges. This is the one-column `smooth_columns`.
+    A constant series is smoothed like any other.
+
+    Raises
+    ------
+    InvalidInputError
+        If `series` is not one series (`one_column`), or holds a NaN or inf.
     """
-    y = np.asarray(series, dtype=float).reshape(-1, 1)
-    fitted, residuals, df = smooth_columns(y, cfg)
+    column = one_column(series)
+    unit_scale_columns(column)  # rejects a NaN or inf, as for every series
+    fitted, residuals, df = smooth_columns(column, cfg)
     return SmoothResult(fitted=fitted[:, 0], residuals=residuals[:, 0], df=df)
 
 
 def smooth_columns(values: np.ndarray, cfg: SmootherConfig) -> tuple[np.ndarray, np.ndarray, float]:
-    """Smooth every column of an (n, p) array at once; returns (fitted, residuals, df)."""
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise InvalidInputError("series contains non-finite values")
+    """Smooth every column of an (n, p) array at once; returns (fitted, residuals, df).
+
+    The caller guarantees finite values, as a panel, `compute_maf`'s factors
+    or `unit_scale_columns` do.
+    """
     hat, df = _hat_matrix(values.shape[0], cfg)
     fitted = hat @ values
     return fitted, values - fitted, df
@@ -121,6 +130,8 @@ def snr_columns(values, cfg: SmootherConfig = SmootherConfig()) -> np.ndarray:
 
     Raises
     ------
+    InvalidInputError
+        If `values` is not 2-D, or holds a NaN or inf (`unit_scale_columns`).
     DegenerateResidualError
         If any column's residual standard deviation is numerically zero,
         at most 1e-12 of the column's largest magnitude (the series is
@@ -143,7 +154,9 @@ def empirical_snr(series, cfg: SmootherConfig = SmootherConfig()) -> float:
 
     Raises
     ------
+    InvalidInputError
+        If `series` is not one series (`one_column`), or holds a NaN or inf.
     DegenerateResidualError
         If the residual standard deviation is numerically zero.
     """
-    return float(snr_columns(np.asarray(series, dtype=float).reshape(-1, 1), cfg)[0])
+    return float(snr_columns(one_column(series), cfg)[0])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mafkit import (
@@ -16,6 +16,7 @@ from mafkit import (
     factor_autocorrelation,
     gen_signal,
     gen_sn_panel,
+    loess_smooth,
     multi_factor_r,
     run_comparison_experiment,
     sample_covariance,
@@ -111,6 +112,24 @@ NO_SPREAD = {f"{value}x{n}": np.full(n, value)
              for value in (0.1, 0.3, 2.7, 123.456, 1e300, 1e-300) for n in (10, 150, 3005)}
 
 
+def _ramp(series):
+    # a partner series as long as `series` read flat, so that a statistic that
+    # flattened a block of series would return a number rather than raise
+    return np.arange(float(np.size(series)))
+
+
+# Every statistic of one series, as a function of that series alone.
+SERIES_STATISTICS = {
+    "factor_autocorrelation": factor_autocorrelation,
+    "correlation_with_signal-factor": lambda s: correlation_with_signal(s, _ramp(s)),
+    "correlation_with_signal-signal": lambda s: correlation_with_signal(_ramp(s), s),
+    "multi_factor_r": lambda s: multi_factor_r(s, np.column_stack([_ramp(s), np.sqrt(_ramp(s))])),
+    "signal_lag1_coherence": signal_lag1_coherence,
+    "empirical_snr": empirical_snr,
+    "loess_smooth": loess_smooth,
+}
+
+
 class TestSignalStatistics:
     def test_correlation_with_itself(self):
         f = gen_signal(SignalSpec(kind="sinusoid-mixture", n=100, seed=9))
@@ -136,21 +155,41 @@ class TestSignalStatistics:
             correlation_with_signal(series, ramp)
         with pytest.raises(DegenerateSeriesError):
             multi_factor_r(series, np.column_stack([ramp, np.sqrt(ramp)]))
+        with pytest.raises(DegenerateSeriesError):
+            signal_lag1_coherence(series)
+
+    @pytest.mark.parametrize("statistic", SERIES_STATISTICS.values(), ids=SERIES_STATISTICS.keys())
+    def test_only_one_finite_series_is_accepted_by_every_statistic(self, statistic):
+        values = ingest_csv(example_panel_path()).values
+        nan, inf = values[:, 0].copy(), values[:, 0].copy()
+        nan[7], inf[7] = np.nan, np.inf
+        for series in (nan, inf, values[:, :2]):
+            with pytest.raises(InvalidInputError):
+                statistic(series)
 
     @settings(max_examples=100, deadline=None)
     @given(exponent=st.floats(min_value=-300.0, max_value=300.0))
+    @example(exponent=-170.0)
+    @example(exponent=160.0)
     def test_statistics_are_free_of_scale(self, exponent):
-        # each statistic rescales its series by an exact power of two first,
-        # so no square overflows or underflows (a RuntimeWarning fails the
-        # test) and c * y differs from y only by c's rounding
+        # each statistic rescales its series, and compute_maf each panel, by
+        # an exact power of two first, so no square overflows or underflows
+        # (a RuntimeWarning fails the test) and c * y differs from y only by
+        # c's rounding
         values = ingest_csv(example_panel_path()).values
         y, f, factors = values[:, 0], values[:, 1], values[:, 2:]
 
         def statistics(c):
             return [empirical_snr(c * y), factor_autocorrelation(c * y),
-                    correlation_with_signal(c * y, c * f), multi_factor_r(c * f, factors)]
+                    correlation_with_signal(c * y, c * f), multi_factor_r(c * f, c * factors),
+                    signal_lag1_coherence(c * f)]
 
-        np.testing.assert_allclose(statistics(10.0 ** exponent), statistics(1.0), rtol=1e-14)
+        c = 10.0 ** exponent
+        np.testing.assert_allclose(statistics(c), statistics(1.0), rtol=1e-14)
+        # autocorrelations lie in [-1, 1], and c's rounding moves the one
+        # near 0 (-0.0096) by a few ulps of 1, so they are compared absolutely
+        np.testing.assert_allclose(compute_maf(c * values).autocorrelations,
+                                   compute_maf(values).autocorrelations, rtol=0.0, atol=1e-14)
 
     def test_single_factor_r_equals_correlation(self):
         rng = np.random.default_rng(14)

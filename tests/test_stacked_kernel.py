@@ -12,7 +12,6 @@ it replaced (`gen_sn_panel`, `compute_maf`, `compute_pca` and the recovery
 statistics on the spawned children) in the same way.
 """
 
-import json
 import math
 
 import numpy as np
@@ -281,26 +280,32 @@ class TestKernel:
             maf_stack(np.zeros((20, 2)))
 
     @pytest.mark.parametrize("allow_singular", [False, True])
-    def test_overflowing_covariance_is_invalid_input(self, rng, allow_singular):
-        # values of 1e160 square past the largest float: the covariance is
-        # inf, and eigh would fail on it with a LinAlgError
-        x = rng.standard_normal((3, 60, 3)) * 1e160
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(InvalidInputError, match="covariance overflows"):
-                maf_stack(x, allow_singular=allow_singular)
+    def test_overflowing_panel_decomposes_like_the_unscaled_one(self, rng, allow_singular):
+        # values of 1e160 square past the largest float; each panel is scaled
+        # by a power of two before its covariance, and only the coefficients
+        # keep the scale
+        x = rng.standard_normal((3, 60, 3))
+        huge = maf_stack(x * 1e160, allow_singular=allow_singular)
+        plain = maf_stack(x, allow_singular=allow_singular)
+        signs = np.sign(np.einsum("mtj,mtj->mj", huge.factors, plain.factors))[:, None, :]
+        np.testing.assert_allclose(huge.diff_eigenvalues, plain.diff_eigenvalues, rtol=1e-13)
+        np.testing.assert_allclose(huge.factors * signs, plain.factors, atol=1e-12)
+        np.testing.assert_allclose(huge.coefficients * signs * 1e160, plain.coefficients,
+                                   atol=1e-12)
 
-    def test_overflowing_panel_is_a_data_error_in_the_cli(self, rng, tmp_path, capsys):
-        path = tmp_path / "huge.csv"
-        rows = [",".join(repr(float(v)) for v in row)
-                for row in rng.standard_normal((60, 3)) * 1e160]
-        path.write_text("a,b,c\n" + "\n".join(rows) + "\n")
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code = main(["decompose", "--input", str(path), "--output", str(tmp_path / "o")])
-        assert code == 3
-        assert json.loads(capsys.readouterr().out) == {"error": {
-            "type": "InvalidInputError",
-            "message": "panel has non-finite values, or its covariance overflows",
-            "exit_code": 3}}
+    def test_overflowing_panel_decomposes_like_the_unscaled_one_in_the_cli(self, rng, tmp_path):
+        values = rng.standard_normal((60, 3))
+        artifacts = []
+        for name, scale in (("plain", 1.0), ("huge", 1e160)):
+            path = tmp_path / f"{name}.csv"
+            rows = [",".join(repr(float(v)) for v in row) for row in values * scale]
+            path.write_text("a,b,c\n" + "\n".join(rows) + "\n")
+            assert main(["decompose", "--input", str(path), "--output", str(tmp_path / name)]) == 0
+            # the spectrum and the factors (MAF and standardized PCA) are free of scale
+            artifacts.append([np.loadtxt(tmp_path / name / f"{artifact}.csv", delimiter=",",
+                                         skiprows=1) for artifact in ("spectrum", "factors")])
+        for huge, plain in zip(artifacts[1], artifacts[0]):
+            np.testing.assert_allclose(huge, plain, atol=1e-12)
 
     def test_snr_columns_matches_empirical_snr(self, rng):
         y = rng.standard_normal((120, 5)).cumsum(axis=0) + rng.standard_normal((120, 5))
