@@ -10,7 +10,9 @@ temp file beside the target, which is then renamed over it, so the target
 holds either its old content or the whole new file. Artifacts contain no
 timestamps, so reruns with the same arguments are byte-identical. `main`
 creates the output directory before a command runs; a path that cannot be
-a directory is a config error.
+a directory is a config error. A failing command prints one error JSON and
+exits with its error type's `exit_code` (`mafkit.errors`); a command that
+reads no panel turns a data error into a config error.
 """
 
 from __future__ import annotations
@@ -27,15 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    CsvParseError,
-    DegenerateResidualError,
-    DegenerateSeriesError,
-    InsufficientDataError,
-    InvalidConfigError,
-    InvalidInputError,
-    MafkitError,
-)
+from .errors import CsvParseError, InvalidConfigError, MafkitError
 from .inference import (ExperimentGrid, power_curve, resample_maf, run_comparison_experiment,
                         select_num_factors, signal_presence_test)
 from .maf import compute_maf, compute_pca, standardize_columns
@@ -47,15 +41,6 @@ from .smoothing import SmootherConfig
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
-EXIT_NUMERICAL = 4
-
-_DATA_ERRORS = (
-    CsvParseError,
-    InsufficientDataError,
-    InvalidInputError,
-    DegenerateSeriesError,
-    DegenerateResidualError,
-)
 
 
 def ingest_csv(path, standardize: bool = False) -> TimeSeriesPanel:
@@ -432,17 +417,13 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise InvalidConfigError(f"cannot create --output: {exc}") from None
         args.func(args)
-    except InvalidConfigError as exc:
-        print(_error_payload(exc, EXIT_CONFIG))
-        return EXIT_CONFIG
-    except _DATA_ERRORS as exc:
+    except MafkitError as exc:
+        code = exc.exit_code
         # a command that reads no panel has no data to blame: its bad values are flags
-        code = EXIT_DATA if "input" in vars(args) else EXIT_CONFIG
+        if code == EXIT_DATA and "input" not in vars(args):
+            code = EXIT_CONFIG
         print(_error_payload(exc, code))
         return code
-    except MafkitError as exc:
-        print(_error_payload(exc, EXIT_NUMERICAL))
-        return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -301,10 +301,11 @@ def signal_presence_test(panel, B: int, cfg: SmootherConfig = SmootherConfig(),
     """Test whether the leading MAF factors carry a signal rather than noise.
 
     The observed statistic of factor j is its empirical SNR. Null panels are
-    built by smoothing each series, inflating the residuals by
-    sqrt(n / (n - df)) to undo the smoother's variance absorption, and
-    resampling residual rows with no smooth added back; each null panel is
-    decomposed and its factor SNRs form the null distribution.
+    built by smoothing each series and resampling its residual rows with no
+    smooth added back; each null panel is decomposed and its factor SNRs
+    form the null distribution. The residuals are not rescaled for the
+    smoother's degrees of freedom: multiplying every series by one constant
+    changes neither the MAF factors nor the SNR, a ratio of two SDs.
 
     `mode` is "permutation" (rows shuffled without replacement; requires
     block_len == 1) or "bootstrap" (circular blocks of block_len rows drawn
@@ -333,13 +334,12 @@ def signal_presence_test(panel, B: int, cfg: SmootherConfig = SmootherConfig(),
     original = compute_maf(panel)
     observed = np.array([empirical_snr(original.factors[:, j], cfg) for j in range(k)])
 
-    _, residuals, df = smooth_columns(panel.values, cfg)
-    inflated = residuals * np.sqrt(n / (n - df))
+    _, residuals, _ = smooth_columns(panel.values, cfg)
 
     def draw(rngs):
         if mode == "permutation":
-            return inflated[np.stack([rng.permutation(n) for rng in rngs])]
-        return inflated[np.stack([_resample_indices(rng, n, block_len) for rng in rngs])]
+            return residuals[np.stack([rng.permutation(n) for rng in rngs])]
+        return residuals[np.stack([_resample_indices(rng, n, block_len) for rng in rngs])]
 
     null_draws = np.empty((k, B))
     for start, stop, _, reps, _ in _replicates(seed, range(B), n, p, draw):
@@ -466,9 +466,13 @@ def multi_factor_r(f, factors) -> float:
 
     The signal goes through `unit_series` and the factors, one series or
     one per column, through `unit_scale_columns`, whose errors it raises.
+    The design is rank deficient if `lstsq` finds at most k singular values
+    above max(n, k + 1) * eps times the largest.
     """
     y = unit_series(f)
     x = np.asarray(factors, dtype=float)
+    if x.ndim not in (1, 2):
+        raise InvalidInputError(f"expected factors 1-D or one per column, got shape {x.shape}")
     x, _ = unit_scale_columns(x[:, None] if x.ndim == 1 else x)
     n, k = x.shape
     if y.size != n:
@@ -476,9 +480,9 @@ def multi_factor_r(f, factors) -> float:
     if k >= n:
         raise InvalidInputError(f"need more observations than regressors, got n={n}, k={k}")
     design = np.column_stack([np.ones(n), x])
-    if np.linalg.matrix_rank(design) < k + 1:
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < k + 1:
         raise InvalidInputError("factor matrix is rank deficient")
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
     r2 = 1.0 - float(resid @ resid) / float(np.sum((y - y.mean()) ** 2))
     return float(np.sqrt(np.clip(r2, 0.0, 1.0)))

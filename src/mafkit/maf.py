@@ -132,7 +132,7 @@ def maf_stack(x, allow_singular: bool = False) -> MafStack:
     ------
     InvalidInputError
         If `x` is not a 3-D array, or a panel holds a NaN or inf (one
-        finiteness check, on the sample covariance).
+        finiteness check, on each panel's peak |value|).
     InsufficientDataError
         If n <= p, or n < 3 (the differenced covariance needs two rows).
     SingularMatrixError
@@ -151,13 +151,14 @@ def maf_stack(x, allow_singular: bool = False) -> MafStack:
         )
 
     # the scaling is exact, so x @ whitener and the factors keep every bit;
-    # only the coefficients carry it, and are scaled back below
-    _, exponents = np.frexp(np.abs(x).max(axis=(1, 2), keepdims=True))
-    x = np.ldexp(x, -exponents)
-    cov = covariance_stack(x)
-    if not np.all(np.isfinite(cov)):
+    # only the coefficients carry it, and are scaled back below; a NaN or inf
+    # is its panel's peak, and a scaled panel's covariance is bounded, so a
+    # finite peak is the one finiteness check
+    peaks, exponents = np.frexp(np.abs(x).max(axis=(1, 2), keepdims=True))
+    if not np.all(np.isfinite(peaks)):
         raise InvalidInputError("panel has non-finite values")
-    whitener, cov_values = inverse_sqrt_stack(cov)
+    x = np.ldexp(x, -exponents)
+    whitener, cov_values = inverse_sqrt_stack(covariance_stack(x))
     singular = spd_singular(cov_values)
     if not allow_singular:
         require_spd(cov_values, "sample covariance")
@@ -223,18 +224,34 @@ def compute_pca(panel, standardize: bool = True) -> PcaDecomposition:
     With `standardize` each column is scaled to unit variance before the
     covariance is formed (zero-variance columns are left unscaled so that
     rank-deficient panels still decompose). Factors are the centered,
-    optionally scaled panel projected on the eigenvectors.
+    optionally scaled panel projected on the eigenvectors. The covariance is
+    taken of that panel scaled by the one power of two that puts its peak
+    |value| in [0.5, 1), and the variances are scaled back, so coefficients
+    and factors do not depend on the panel's scale; a variance below the
+    smallest double is 0.
+
+    Raises
+    ------
+    InsufficientDataError
+        If the panel has fewer than 2 rows.
+    InvalidInputError
+        If a variance is too large for a double.
     """
     panel = as_panel(panel)
     if panel.n < 2:
         raise InsufficientDataError(f"PCA needs at least 2 rows, got {panel.n}")
     x = panel.values
     x = standardize_columns(x) if standardize else x - x.mean(axis=0)
-    eig = sym_eig(sample_covariance(x), order="descending")
+    _, exponent = np.frexp(np.abs(x).max())
+    eig = sym_eig(sample_covariance(np.ldexp(x, -exponent)), order="descending")
+    with np.errstate(over="ignore"):
+        variances = np.ldexp(np.maximum(eig.values, 0.0), 2 * exponent)
+    if not np.all(np.isfinite(variances)):
+        raise InvalidInputError("a principal component's variance overflows a double")
     return PcaDecomposition(
         coefficients=eig.vectors,
         factors=x @ eig.vectors,
-        variances=np.maximum(eig.values, 0.0),
+        variances=variances,
         standardized=standardize,
     )
 

@@ -6,7 +6,7 @@ shifted inward at the ends, so L is filled from a (k, k) table of local-fit
 weights, one row per offset of i in its window. A degree-d fit needs
 k - 1 - (k mod 2) >= d + 2 points of nonzero tricube weight, or it would
 interpolate. Only the most recent L is kept. Its trace is the smoother's
-degrees of freedom, needed for residual inflation in the resampling test.
+degrees of freedom, which `SmoothResult` reports.
 `smooth_columns` is the one way to apply L, to many columns at once;
 `snr_columns` takes its fitted values and residuals of columns rescaled
 exactly (`unit_scale_columns`, which also rejects a NaN or inf), and

@@ -14,10 +14,23 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mafkit
-from mafkit import CsvParseError, __version__
+import mafkit.errors
+from mafkit import (CsvParseError, DegenerateResidualError, DegenerateSeriesError,
+                    InsufficientDataError, InvalidConfigError, InvalidInputError, MafkitError,
+                    ParameterPoleError, SingularMatrixError, __version__)
 from mafkit.cli import _atomic_write, _quote, _write_csv, build_parser, ingest_csv, main
 from mafkit.datasets import example_panel_path
 from mafkit.simulate import SIGNAL_KINDS
+
+
+# the exit status of every error type, written out so that a new type is
+# added here with the status it declares
+EXIT_CODES = {
+    MafkitError: 4, SingularMatrixError: 4, ParameterPoleError: 4,
+    InvalidConfigError: 2,
+    InvalidInputError: 3, InsufficientDataError: 3, DegenerateSeriesError: 3,
+    DegenerateResidualError: 3, CsvParseError: 3,
+}
 
 
 def write_panel_csv(path, n=40, p=3, seed=0, with_time=True):
@@ -327,6 +340,32 @@ class TestCliCommands:
         assert code == 3
         assert json.loads(capsys.readouterr().out) == {"error": {
             "type": "DegenerateSeriesError", "message": "series 2 is constant", "exit_code": 3}}
+
+    def test_every_error_type_declares_its_exit_code(self):
+        types = {cls for cls in vars(mafkit.errors).values()
+                 if isinstance(cls, type) and issubclass(cls, MafkitError)}
+        assert types == set(EXIT_CODES)
+        assert {cls: cls.exit_code for cls in types} == EXIT_CODES
+
+    @pytest.mark.parametrize("error", EXIT_CODES, ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("command, target", [("test", "signal_presence_test"),
+                                                 ("power", "power_curve")])
+    def test_error_type_sets_the_exit_status(self, command, target, error, tmp_path,
+                                             monkeypatch, capsys):
+        # `power` reads no panel, so a data error there came from a flag
+        def fail(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(f"mafkit.cli.{target}", fail)
+        argv = [command, "--output", str(tmp_path / "o")]
+        if command == "test":
+            argv += ["--input", str(example_panel_path())]
+        code = EXIT_CODES[error]
+        if command == "power" and code == 3:
+            code = 2
+        assert main(argv) == code
+        assert json.loads(capsys.readouterr().out) == {"error": {
+            "type": error.__name__, "message": "injected", "exit_code": code}}
 
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "collinear.csv"

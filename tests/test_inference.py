@@ -161,6 +161,19 @@ class TestSignalPresenceTest:
         np.testing.assert_array_equal(a.null_draws, b.null_draws)
         np.testing.assert_array_equal(a.p_value, b.p_value)
 
+    @pytest.mark.parametrize("mode, block_len", [("permutation", 1), ("bootstrap", 5)])
+    @pytest.mark.parametrize("c", [1e-3, 3.0, 1e3])
+    def test_null_does_not_depend_on_a_common_scale(self, mode, block_len, c):
+        # MAF factors and the SNR, a ratio of two SDs, do not change when
+        # every series is multiplied by one constant, so neither does the null
+        values = strong_panel().values
+        base, scaled = (signal_presence_test(x, B=99, mode=mode, block_len=block_len,
+                                             n_factors_tested=2, seed=4)
+                        for x in (values, c * values))
+        np.testing.assert_allclose(scaled.null_draws, base.null_draws, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(scaled.observed, base.observed, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(scaled.p_value, base.p_value)
+
     def test_validation(self):
         panel = strong_panel()
         with pytest.raises(InvalidConfigError):

@@ -4,6 +4,7 @@ import pytest
 from mafkit import (
     DegenerateSeriesError,
     InsufficientDataError,
+    InvalidInputError,
     SingularMatrixError,
     combination_autocorrelation,
     compute_maf,
@@ -17,6 +18,9 @@ from mafkit import (
     SnModelSpec,
     population_maf_weights,
 )
+
+from mafkit.cli import ingest_csv
+from mafkit.datasets import example_panel_path
 
 from conftest import align_columns_by_sign, angle_between, random_invertible
 
@@ -183,6 +187,22 @@ class TestComputePca:
         pca = compute_pca(np.column_stack([col, col, other]))
         assert pca.variances[-1] < 1e-10
         assert pca.coefficients.shape == (3, 3)
+
+    @pytest.mark.parametrize("c", [1e-300, 1e-170, 1e150])
+    def test_raw_pca_does_not_depend_on_scale(self, c):
+        # the covariance of c * x under- or overflows at these scales; it is
+        # taken of the panel scaled by a power of two, and the variances are
+        # scaled back, to 0 where c**2 times them is below the smallest double
+        x = ingest_csv(example_panel_path()).values
+        base, scaled = compute_pca(x, standardize=False), compute_pca(c * x, standardize=False)
+        np.testing.assert_allclose(scaled.coefficients, base.coefficients, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(scaled.factors / c, base.factors, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(scaled.variances, base.variances * c * c, rtol=1e-13, atol=0)
+
+    def test_raw_pca_variance_past_the_largest_double_rejected(self):
+        x = ingest_csv(example_panel_path()).values
+        with pytest.raises(InvalidInputError, match="overflows"):
+            compute_pca(1e160 * x, standardize=False)
 
     def test_coefficients_orthonormal(self):
         pca = compute_pca(seeded_panel())

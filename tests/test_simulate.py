@@ -210,6 +210,12 @@ class TestSignalStatistics:
         with pytest.raises(InvalidInputError):
             multi_factor_r(f, bad)
 
+    def test_factors_of_three_dimensions_rejected(self):
+        f = gen_signal(SignalSpec(kind="linear", n=50))
+        factors = np.random.default_rng(3).standard_normal((50, 2, 1))
+        with pytest.raises(InvalidInputError, match=r"got shape \(50, 2, 1\)"):
+            multi_factor_r(f, factors)
+
 
 class TestComparisonExperiment:
     @staticmethod
