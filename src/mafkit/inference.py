@@ -17,7 +17,11 @@ own stream, then decomposed together by `maf.maf_stack` in chunks of about
 CHUNK_BYTES of values, which keeps memory flat in B. The kernel returns all
 p factors of each panel, and each caller slices the ones its statistic
 uses. A singular replicate is redrawn from its own stream; more than 10% of
-B redraws is an error.
+B redraws is an error. The permutation null passes the driver its own
+decomposition (`_permutation_null`): a row permutation leaves the
+covariance unchanged, so the residuals are whitened once and each permuted
+panel is decomposed from its lag-1 moments, with no covariance, whitening
+or redraw per replicate.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from .errors import (
     InvalidInputError,
     SingularMatrixError,
 )
-from .linalg import unit_scale_columns, unit_series
-from .maf import compute_maf, compute_pca, lag1_autocorrelation, maf_stack
+from .linalg import require_spd, unit_scale_columns, unit_series
+from .maf import MafStack, compute_maf, compute_pca, lag1_autocorrelation, maf_stack, whiten_stack
 from .panel import as_panel
 from .simulate import SignalSpec, gen_signal, gen_sn_stack, noise_cholesky
 from .smoothing import SmootherConfig, empirical_snr, smooth_columns, snr_columns
@@ -115,7 +119,7 @@ def _pcg64_state(seed_hi: int, seed_lo: int, seq_hi: int, seq_lo: int) -> dict:
             "has_uint32": 0, "uinteger": 0}
 
 
-def _replicates(seed: int, keys: range, n: int, p: int, draw):
+def _replicates(seed: int, keys: range, n: int, p: int, draw, decompose=None):
     """Decompose one (n, p) panel per replicate key, by chunks.
 
     Replicate `keys[i]` draws exactly what `default_rng(SeedSequence(seed,
@@ -124,14 +128,18 @@ def _replicates(seed: int, keys: range, n: int, p: int, draw):
     drawn through one reused Generator. `draw(rngs)` stacks one panel per
     generator from a lazy iterator, which sets the next replicate's state
     only when asked for it, so each replicate's draws finish first. Each
-    chunk of at most CHUNK_BYTES of values goes through one `maf_stack`
-    call. A singular replicate is redrawn alone from its own stream, on the
-    same Generator: its first draw is replayed and discarded, and each next
-    draw is patched into the chunk until it is not singular; more than 10%
-    of B redraws in all raises SingularMatrixError. Yields (start, stop,
+    chunk of at most CHUNK_BYTES of values goes through one `decompose`
+    call, `maf_stack(panels, allow_singular=True)` by default; any other
+    returns a MafStack of the same fields. A singular replicate is redrawn
+    alone from its own stream, on the same Generator: its first draw is
+    replayed and discarded, and each next draw's one-panel `decompose` is
+    patched into the chunk until it is not singular; more than 10% of B
+    redraws in all raises SingularMatrixError. Yields (start, stop,
     panels, MafStack, redraws so far), where `panels[i]` is the panel that
     the MafStack's row i decomposes: a redrawn replicate's last draw.
     """
+    if decompose is None:
+        decompose = partial(maf_stack, allow_singular=True)
     words = _stream_words(seed, keys)
     B = len(words)
     # the first stream checked against numpy's own seeding, once per call
@@ -154,7 +162,7 @@ def _replicates(seed: int, keys: range, n: int, p: int, draw):
     for start in range(0, B, size):
         stop = min(start + size, B)
         panels = draw(streams(words[start:stop]))
-        stack = maf_stack(panels, allow_singular=True)
+        stack = decompose(panels)
         for i in np.flatnonzero(stack.singular):
             draw(streams(words[start + i:start + i + 1]))  # replays the first draw
             while stack.singular[i]:
@@ -165,7 +173,7 @@ def _replicates(seed: int, keys: range, n: int, p: int, draw):
                         f"budget of 10% of B={B}; panel too close to singular"
                     )
                 panels[i] = draw(iter([rng]))[0]
-                for old, new in zip(stack, maf_stack(panels[i:i + 1], allow_singular=True)):
+                for old, new in zip(stack, decompose(panels[i:i + 1])):
                     old[i] = new[0]
         yield start, stop, panels, stack, redraws
 
@@ -175,6 +183,50 @@ def _factor_snrs(factors: np.ndarray, cfg: SmootherConfig) -> np.ndarray:
     m, n, k = factors.shape
     columns = factors.transpose(1, 0, 2).reshape(n, m * k)
     return snr_columns(columns, cfg).reshape(m, k).T
+
+
+def _permutation_null(residuals: np.ndarray):
+    """`draw` and `decompose` for `_replicates` over the row permutations
+    of an (n, p) residual panel, whitened once.
+
+    A row permutation leaves the sample covariance S unchanged, so S is
+    checked once (`require_spd`; no replicate can be singular, so none is
+    redrawn) and the residuals are whitened once by `whiten_stack`:
+    Z = (scaled residuals, centered) S^{-1/2}, and G0 = Z^T Z. `draw` stacks
+    the permuted rows Z[pi], one `rng.permutation(n)` per replicate. The
+    differenced covariance of each comes from its lag-1 moments: with
+    G1 = Z[pi][1:]^T Z[pi][:-1], f and l its first and last rows,
+    D = (2 G0 - f f^T - l l^T - (G1 + G1^T) - (l - f)(l - f)^T / (n - 1)) / (n - 2).
+    One batched eigh of D gives the ascending eigenvalues and V; the
+    factors are Z[pi] V, centered, and the coefficients S^{-1/2} V scaled
+    back. The moments cancel when rows are strongly autocorrelated, but
+    permuted rows have lag-1 autocorrelation near 0; every other
+    replicate panel goes through `maf_stack`.
+    """
+    x, exponents, whitener, cov_values = whiten_stack(residuals[None])
+    require_spd(cov_values, "sample covariance of the residuals")
+    n = x.shape[1]
+    z = (x[0] - x[0].mean(axis=0)) @ whitener[0]
+    g0 = z.T @ z
+
+    def draw(rngs):
+        return z[np.stack([rng.permutation(n) for rng in rngs])]
+
+    def decompose(zs):
+        first, last = zs[:, :1], zs[:, -1:]
+        g1 = np.swapaxes(zs[:, 1:], 1, 2) @ zs[:, :-1]
+        jump = last - first
+
+        def outer(v):
+            return np.swapaxes(v, 1, 2) @ v
+
+        diff_cov = (2.0 * g0 - outer(first) - outer(last) - (g1 + np.swapaxes(g1, 1, 2))
+                    - outer(jump) / (n - 1)) / (n - 2)
+        values, vectors = np.linalg.eigh(diff_cov)
+        return MafStack(np.ldexp(whitener @ vectors, -exponents), zs @ vectors, values,
+                        np.zeros(len(zs), dtype=bool))
+
+    return draw, decompose
 
 
 def _resample_indices(rng: np.random.Generator, n: int, block_len: int) -> np.ndarray:
@@ -256,6 +308,11 @@ def resample_maf(panel, B: int, block_len: int = 1,
         centered = factors - factors.mean(axis=1, keepdims=True)
         flips = np.where(np.einsum("mtj,tj->mj", centered, orig_centered) < 0, -1.0, 1.0)
         flips = flips[:, None, :]
+        # coefficients scale as 1 / (the panel's scale): each column is first
+        # divided by the exact power of two of its peak, so its norm neither
+        # over- nor underflows, and the unit column keeps every bit
+        _, exponents = np.frexp(np.abs(coefs).max(axis=1, keepdims=True))
+        coefs = np.ldexp(coefs, -exponents)
         coefs = coefs * flips / np.linalg.norm(coefs, axis=1, keepdims=True)
         rep_factors[:, start:stop] = (factors * flips).transpose(2, 0, 1)
         rep_coefs[:, start:stop] = coefs.transpose(2, 0, 1)
@@ -310,8 +367,11 @@ def signal_presence_test(panel, B: int, cfg: SmootherConfig = SmootherConfig(),
     `mode` is "permutation" (rows shuffled without replacement; requires
     block_len == 1) or "bootstrap" (circular blocks of block_len rows drawn
     with replacement, `_resample_indices`). The default picks permutation
-    for block_len == 1 and bootstrap otherwise. Singular null panels are
-    redrawn (`_replicates`).
+    for block_len == 1 and bootstrap otherwise. Permuted panels all share
+    the residuals' covariance, so it is checked and whitened once, and each
+    null panel is decomposed from its lag-1 moments (`_permutation_null`);
+    a singular residual covariance raises SingularMatrixError. Singular
+    bootstrap panels are redrawn (`_replicates`).
     """
     panel = as_panel(panel)
     n, p = panel.n, panel.p
@@ -335,14 +395,15 @@ def signal_presence_test(panel, B: int, cfg: SmootherConfig = SmootherConfig(),
     observed = np.array([empirical_snr(original.factors[:, j], cfg) for j in range(k)])
 
     _, residuals, _ = smooth_columns(panel.values, cfg)
-
-    def draw(rngs):
-        if mode == "permutation":
-            return residuals[np.stack([rng.permutation(n) for rng in rngs])]
-        return residuals[np.stack([_resample_indices(rng, n, block_len) for rng in rngs])]
+    if mode == "permutation":
+        draw, decompose = _permutation_null(residuals)
+    else:
+        def draw(rngs):
+            return residuals[np.stack([_resample_indices(rng, n, block_len) for rng in rngs])]
+        decompose = None
 
     null_draws = np.empty((k, B))
-    for start, stop, _, reps, _ in _replicates(seed, range(B), n, p, draw):
+    for start, stop, _, reps, _ in _replicates(seed, range(B), n, p, draw, decompose):
         null_draws[:, start:stop] = _factor_snrs(reps.factors[..., :k], cfg)
 
     exceed = (null_draws >= observed[:, None]).sum(axis=1)

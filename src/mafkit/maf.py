@@ -20,7 +20,8 @@ yields all p factors, so it returns them all, and how many to keep is the
 caller's slice. `compute_maf` is its one-panel case, and the resampling
 functions in `mafkit.inference` feed it chunks of replicate panels; each
 row of a stack is bitwise the decomposition `compute_maf` gives that panel,
-up to the trend sign.
+up to the trend sign. Its head, `whiten_stack`, is the one whitener; the
+permutation null whitens its residuals with it once.
 """
 
 from __future__ import annotations
@@ -111,22 +112,17 @@ class MafStack(NamedTuple):
     singular: np.ndarray
 
 
-def maf_stack(x, allow_singular: bool = False) -> MafStack:
-    """MAF decomposition of every panel of an (m, n, p) stack at once.
+def whiten_stack(x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The head of the MAF kernel, for every panel of an (m, n, p) stack.
 
-    Per panel: scaling by the one power of two that puts its peak |value|
-    in [0.5, 1), centered covariance S, whitening by S^{-1/2} (batched
-    eigh), covariance of the differenced whitened rows, and its ascending
-    eigendecomposition (batched `np.linalg.eigh`), which yields all p
-    factors at once; a caller that needs fewer slices them. The scaling is
-    exact and the coefficients are scaled back, so the result does not
-    depend on the panel's scale, and no covariance over- or underflows,
-    for any |values| from about 1e-300 to 1e300. Both
-    covariances come from `covariance_stack`, exactly symmetric, so
-    neither is re-checked. No sign rule is applied: each factor keeps
-    LAPACK's sign, and the callers set theirs (`compute_maf` the trend
-    sign, `resample_maf` alignment with the original factors; the test,
-    power and comparison statistics ignore sign).
+    Each panel is scaled by the one power of two that puts its peak |value|
+    in [0.5, 1), and its centered covariance S (`covariance_stack`) is
+    whitened by S^{-1/2} (`inverse_sqrt_stack`, batched eigh). The scaling
+    is exact, so x @ whitener keeps every bit of the unscaled product, and
+    no covariance over- or underflows for any |values| from about 1e-300 to
+    1e300. Returns (scaled panels, (m, 1, 1) exponents of the scale,
+    whiteners, ascending eigenvalues of S); the caller applies the SPD rule
+    to the eigenvalues (`spd_singular`, `require_spd`).
 
     Raises
     ------
@@ -135,9 +131,6 @@ def maf_stack(x, allow_singular: bool = False) -> MafStack:
         finiteness check, on each panel's peak |value|).
     InsufficientDataError
         If n <= p, or n < 3 (the differenced covariance needs two rows).
-    SingularMatrixError
-        If a panel's sample covariance is numerically singular, unless
-        `allow_singular`, which flags such panels in `singular` instead.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 3:
@@ -149,16 +142,40 @@ def maf_stack(x, allow_singular: bool = False) -> MafStack:
         raise InsufficientDataError(
             f"MAF needs more time steps than series and at least 3, got n={n}, p={p}"
         )
-
-    # the scaling is exact, so x @ whitener and the factors keep every bit;
-    # only the coefficients carry it, and are scaled back below; a NaN or inf
-    # is its panel's peak, and a scaled panel's covariance is bounded, so a
-    # finite peak is the one finiteness check
+    # a NaN or inf is its panel's peak, and a scaled panel's covariance is
+    # bounded, so a finite peak is the one finiteness check
     peaks, exponents = np.frexp(np.abs(x).max(axis=(1, 2), keepdims=True))
     if not np.all(np.isfinite(peaks)):
         raise InvalidInputError("panel has non-finite values")
     x = np.ldexp(x, -exponents)
     whitener, cov_values = inverse_sqrt_stack(covariance_stack(x))
+    return x, exponents, whitener, cov_values
+
+
+def maf_stack(x, allow_singular: bool = False) -> MafStack:
+    """MAF decomposition of every panel of an (m, n, p) stack at once.
+
+    Per panel: `whiten_stack` (exact power-of-two scaling, centered
+    covariance S, whitening by S^{-1/2}), covariance of the differenced
+    whitened rows, and its ascending eigendecomposition (batched
+    `np.linalg.eigh`), which yields all p factors at once; a caller that
+    needs fewer slices them. The coefficients are scaled back, so the
+    result does not depend on the panel's scale. Both covariances come from
+    `covariance_stack`, exactly symmetric, so neither is re-checked. No
+    sign rule is applied: each factor keeps LAPACK's sign, and the callers
+    set theirs (`compute_maf` the trend sign, `resample_maf` alignment with
+    the original factors; the test, power and comparison statistics ignore
+    sign).
+
+    Raises
+    ------
+    InvalidInputError, InsufficientDataError
+        As `whiten_stack`.
+    SingularMatrixError
+        If a panel's sample covariance is numerically singular, unless
+        `allow_singular`, which flags such panels in `singular` instead.
+    """
+    x, exponents, whitener, cov_values = whiten_stack(x)
     singular = spd_singular(cov_values)
     if not allow_singular:
         require_spd(cov_values, "sample covariance")
@@ -311,4 +328,5 @@ __all__ = [
     "compute_pca",
     "factor_autocorrelation",
     "maf_stack",
+    "whiten_stack",
 ]

@@ -5,8 +5,9 @@ y -> L y for a given (n, config). Row i's window is the k rows around it,
 shifted inward at the ends, so L is filled from a (k, k) table of local-fit
 weights, one row per offset of i in its window. A degree-d fit needs
 k - 1 - (k mod 2) >= d + 2 points of nonzero tricube weight, or it would
-interpolate. Only the most recent L is kept. Its trace is the smoother's
-degrees of freedom, which `SmoothResult` reports.
+interpolate. Only the most recent L is kept, and it is dropped before the
+next is built. Its trace is the smoother's degrees of freedom, which
+`SmoothResult` reports.
 `smooth_columns` is the one way to apply L, to many columns at once;
 `snr_columns` takes its fitted values and residuals of columns rescaled
 exactly (`unit_scale_columns`, which also rejects a NaN or inf), and
@@ -20,7 +21,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -61,7 +63,28 @@ class SmoothResult:
     df: float
 
 
-@lru_cache(maxsize=1)
+def _one_slot_cache(fn):
+    """Cache the one most recent result of `fn`, like `lru_cache(maxsize=1)`,
+    but drop the old result before computing a new one, so two n x n hat
+    matrices are never alive together. `cache_info()` reports the running
+    count of misses and whether a result is held."""
+    slot: dict = {}
+    misses = 0
+
+    @wraps(fn)
+    def cached(*args):
+        nonlocal misses
+        if args not in slot:
+            misses += 1
+            slot.clear()
+            slot[args] = fn(*args)
+        return slot[args]
+
+    cached.cache_info = lambda: SimpleNamespace(misses=misses, currsize=len(slot))
+    return cached
+
+
+@_one_slot_cache
 def _hat_matrix(n: int, cfg: SmootherConfig) -> tuple[np.ndarray, float]:
     k = cfg.window_size(n)
     # tricube weights vanish at a window's far end, and at both ends of a

@@ -76,6 +76,17 @@ class TestResampleMaf:
         norms = np.linalg.norm(env.replicate_coefficients, axis=2)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("c", [1e-300, 1e300])
+    def test_coefficients_do_not_depend_on_a_common_scale(self, c):
+        # coefficients scale as 1 / c; their unit columns, like the whitened
+        # factors, do not, and no norm over- or underflows
+        values = strong_panel().values
+        base, scaled = (resample_maf(x, B=5, n_factors=2, seed=3) for x in (values, c * values))
+        np.testing.assert_allclose(scaled.replicate_coefficients, base.replicate_coefficients,
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(scaled.replicate_factors, base.replicate_factors,
+                                   rtol=1e-12, atol=1e-12)
+
     def test_deterministic_given_seed(self):
         a = resample_maf(strong_panel(), B=60, block_len=5, seed=9)
         b = resample_maf(strong_panel(), B=60, block_len=5, seed=9)
@@ -162,7 +173,7 @@ class TestSignalPresenceTest:
         np.testing.assert_array_equal(a.p_value, b.p_value)
 
     @pytest.mark.parametrize("mode, block_len", [("permutation", 1), ("bootstrap", 5)])
-    @pytest.mark.parametrize("c", [1e-3, 3.0, 1e3])
+    @pytest.mark.parametrize("c", [1e-300, 1e-3, 3.0, 1e3, 1e300])
     def test_null_does_not_depend_on_a_common_scale(self, mode, block_len, c):
         # MAF factors and the SNR, a ratio of two SDs, do not change when
         # every series is multiplied by one constant, so neither does the null

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from mafkit import (
     loess_smooth,
 )
 from mafkit.errors import InsufficientDataError
-from mafkit.smoothing import _hat_matrix
+from mafkit.smoothing import _hat_matrix, _one_slot_cache
 
 
 def brute_force_loess(y, span_fraction, degree):
@@ -202,3 +204,21 @@ class TestHatMatrix:
         loess_smooth(rng.standard_normal(50))
         loess_smooth(rng.standard_normal(70))
         assert _hat_matrix.cache_info().currsize == 1
+
+    def test_old_hat_released_before_the_next_is_built(self):
+        # two n x n hats are never alive together
+        built, alive_at_build = [], []
+
+        def build(n):
+            alive_at_build.append(any(ref() is not None for ref in built))
+            hat = np.zeros((n, n))
+            built.append(weakref.ref(hat))
+            return hat
+
+        cached = _one_slot_cache(build)
+        cached(3)
+        cached(3)
+        cached(4)
+        assert alive_at_build == [False, False]
+        info = cached.cache_info()
+        assert (info.misses, info.currsize) == (2, 1)

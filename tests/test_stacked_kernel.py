@@ -9,7 +9,9 @@ its own generator until it is not. The resampling functions in
 including one replicate per chunk, chunks that do not divide B, and all of
 B in one chunk. The comparison experiment is held to the per-panel loop
 it replaced (`gen_sn_panel`, `compute_maf`, `compute_pca` and the recovery
-statistics on the spawned children) in the same way.
+statistics on the spawned children) in the same way. The permutation null,
+whitened once and decomposed from lag-1 moments, is also held to
+`maf_stack` on every permuted residual panel (`maf_stack_permutation_null`).
 """
 
 import math
@@ -43,6 +45,7 @@ from mafkit import (
     signal_presence_test,
 )
 from mafkit import inference
+from mafkit import maf as maf_module
 from mafkit.cli import ingest_csv, main
 from mafkit.datasets import example_panel_path
 from mafkit.inference import _resample_indices
@@ -133,6 +136,37 @@ def loop_presence(panel, B, cfg=SmootherConfig(), mode="permutation", block_len=
         for j in range(k):
             null[j, b] = empirical_snr(rep.factors[:, j], cfg)
     return null, redraws
+
+
+def maf_stack_permutation_null(panel, B, k, seed, cfg=SmootherConfig()):
+    """The permutation null with every permuted residual panel decomposed by
+    `maf_stack` in the driver, as before the null was whitened once: its
+    (k, B) SNR draws and the (B, p) differenced-covariance eigenvalues."""
+    panel = as_panel(panel)
+    _, residuals, _ = inference.smooth_columns(panel.values, cfg)
+
+    def draw(rngs):
+        return residuals[np.stack([rng.permutation(panel.n) for rng in rngs])]
+
+    null, spectra = np.empty((k, B)), np.empty((B, panel.p))
+    for start, stop, _, reps, _ in inference._replicates(seed, range(B), panel.n, panel.p, draw):
+        null[:, start:stop] = inference._factor_snrs(reps.factors[..., :k], cfg)
+        spectra[start:stop] = reps.diff_eigenvalues
+    return null, spectra
+
+
+def count_maf_stack(monkeypatch) -> list:
+    """Patch `maf_stack` where `compute_maf` and the driver look it up;
+    returns the list that each call appends its number of panels to."""
+    calls = []
+
+    def counted(x, allow_singular=False):
+        calls.append(len(x))
+        return maf_stack(x, allow_singular)
+
+    monkeypatch.setattr(inference, "maf_stack", counted)
+    monkeypatch.setattr(maf_module, "maf_stack", counted)
+    return calls
 
 
 def loop_draw(f, b, chol, rng, ar_phi):
@@ -516,6 +550,55 @@ class TestPresence:
             k += 1
         assert result.k == k
 
+    def test_permutation_null_stack_matches_maf_stack(self, example):
+        # every field, on the same permuted residual panels; the moments
+        # factors are centered
+        residuals = inference.smooth_columns(example.values, SmootherConfig())[1]
+        draw, decompose = inference._permutation_null(residuals)
+        stack = decompose(draw(np.random.default_rng(s) for s in range(30)))
+        rows = np.stack([np.random.default_rng(s).permutation(example.n) for s in range(30)])
+        reference = maf_stack(residuals[rows])
+        assert not stack.singular.any()
+        np.testing.assert_allclose(stack.diff_eigenvalues, reference.diff_eigenvalues,
+                                   rtol=TOL, atol=0)
+        panels = residuals[rows] - residuals.mean(axis=0)
+        np.testing.assert_allclose(panels @ stack.coefficients, stack.factors, rtol=0, atol=TOL)
+        signs = np.sign(np.sum(stack.coefficients * reference.coefficients, axis=1,
+                               keepdims=True))
+        np.testing.assert_allclose(stack.coefficients * signs, reference.coefficients,
+                                   rtol=0, atol=TOL * np.abs(reference.coefficients).max())
+        expected = reference.factors - reference.factors.mean(axis=1, keepdims=True)
+        np.testing.assert_allclose(stack.factors * signs, expected, rtol=0, atol=TOL)
+
+    @pytest.mark.parametrize("B", [99, 1000])
+    def test_permutation_null_never_calls_maf_stack(self, example, monkeypatch, B):
+        # the one call is compute_maf's, on the observed panel
+        calls = count_maf_stack(monkeypatch)
+        signal_presence_test(example, B=B, n_factors_tested=2, seed=4)
+        assert calls == [1]
+        calls.clear()
+        select_num_factors(example, method="test", B=B, seed=4)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("B", [99, 1000])
+    def test_bootstrap_null_calls_maf_stack_once_per_chunk(self, example, monkeypatch, B):
+        calls = count_maf_stack(monkeypatch)
+        signal_presence_test(example, B=B, block_len=5, seed=4)
+        size = inference.CHUNK_BYTES // (8 * example.n * example.p)
+        assert calls == [1] + [size] * (B // size) + [B % size] * (B % size > 0)
+
+    def test_permutation_null_rejects_singular_residuals(self):
+        # the residual covariance is checked once, so no replicate is
+        # redrawn. The panel is noise, and the same noise plus a line, which
+        # the smoother reproduces, plus 1e-7 of other noise: the observed
+        # factors have SNRs, but the residual covariance's eigenvalues
+        # differ by a factor of about 1e-14
+        noise = np.random.default_rng(3).standard_normal((60, 2))
+        panel = np.column_stack([noise[:, 0], noise[:, 0] + 0.5 * np.arange(60)
+                                 + 1e-7 * noise[:, 1]])
+        with pytest.raises(SingularMatrixError, match="residuals"):
+            signal_presence_test(panel, B=99, mode="permutation", seed=3)
+
     def test_singular_replicates_redrawn_from_own_stream(self, unsmoothed, chunk_bytes):
         panel = sparse_panel()
         # replicate 0 is fine; later draws that miss every spike row are redrawn
@@ -718,3 +801,42 @@ def test_maf_stack_matches_the_checked_and_oriented_kernel(m, p, extra_rows, sin
     signs = np.where(dots < 0.0, -1.0, 1.0)
     np.testing.assert_array_equal(stack.coefficients * signs, expected.coefficients)
     np.testing.assert_array_equal(stack.factors * signs, expected.factors)
+
+
+def relative_gaps(spectra: np.ndarray) -> np.ndarray:
+    """(p, B) distance of each ascending eigenvalue to its nearest neighbour,
+    relative to the largest; 1 for a single factor."""
+    gaps = np.diff(spectra, axis=1) / spectra[:, -1:]
+    padded = np.pad(gaps, ((0, 0), (1, 1)), constant_values=1.0)
+    return np.minimum(padded[:, :-1], padded[:, 1:]).T
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(min_value=1, max_value=6), n_extra=st.integers(min_value=0, max_value=194),
+       walks=st.integers(min_value=0, max_value=6),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_permutation_null_matches_maf_stack_reference(p, n_extra, walks, seed):
+    # n in [p + 6, 200], at least 8 rows for the default smoother's window;
+    # noise and random-walk series mixed by a matrix of condition number
+    # below 1e2
+    n = max(min(p + 6 + n_extra, 200), 8)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    x[:, :min(walks, p)] = x[:, :min(walks, p)].cumsum(axis=0)
+    x = x @ random_invertible(rng, p, max_cond=1e2)
+    report = signal_presence_test(x, B=99, n_factors_tested=p, seed=seed)
+    null, spectra = maf_stack_permutation_null(x, B=99, k=p, seed=seed)
+    # the reference whitens each permuted panel again, by a covariance that
+    # differs from the one S in its rounding; a factor moves by that rounding
+    # times cond(S) over its relative eigen-gap (at most 3.0e-15 times that
+    # ratio on 2100 such panels), and by 1e-12 at most on well-separated
+    # factors of a well-conditioned S
+    residuals = inference.smooth_columns(x, SmootherConfig())[1]
+    cond = np.linalg.cond(np.atleast_2d(np.cov(residuals.T)))
+    rtol = np.maximum(1e-12, 2e-14 * cond / relative_gaps(spectra))
+    assert np.all(np.abs(report.null_draws - null) <= rtol * null)
+    # p-values are equal unless a null draw ties the observed value to rtol
+    observed = report.observed[:, None]
+    tied = np.any(np.abs(null - observed) <= rtol * observed, axis=1)
+    expected = (null >= observed).mean(axis=1)
+    np.testing.assert_array_equal(report.p_value[~tied], expected[~tied])
