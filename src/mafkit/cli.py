@@ -5,9 +5,16 @@ time series are written as CSV (floats at full round-trip precision),
 reports as JSON; every run writes its configuration, seed and library
 version next to the artifacts. Every CSV goes through one writer,
 `_write_csv`, which takes the columns as blocks (string lists and float
-arrays) and formats each row with one template. Rows are streamed into a
-temp file beside the target, which is then renamed over it, so the target
-holds either its old content or the whole new file. Artifacts contain no
+arrays). Floats are written exactly as `'%.17g' % x` writes them: one
+numpy kernel, `_float_cells`, formats every value with 1e-4 <= |x| < 1e16
+(in fixed notation, from its exact 17-digit decimal significand), and any
+other value (0, -0, smaller or larger magnitudes) takes `'%.17g' % x`
+itself. Rows are formatted 16 384 cells at a time (one row at a time when
+a row is longer), so artifacts are the same, byte for byte, as a per-cell
+`%.17g` writer's. The chunks are streamed into a temp file beside the
+target, which is then renamed over it, so the target holds either its old
+content or the whole new file. Input cells are ASCII decimal reals only:
+`float` syntax without underscores or non-ASCII digits. Artifacts contain no
 timestamps, so reruns with the same arguments are byte-identical. `main`
 creates the output directory before a command runs; a path that cannot be
 a directory is a config error. A failing command prints one error JSON and
@@ -46,8 +53,9 @@ EXIT_DATA = 3
 def ingest_csv(path, standardize: bool = False) -> TimeSeriesPanel:
     """Read a panel CSV: header of series names, optional leading `t` column.
 
-    One row per time step, decimal-point reals. Raises CsvParseError with
-    the offending 1-based file row / column on any schema violation.
+    One row per time step, ASCII decimal-point reals (`float` syntax without
+    underscores). Raises CsvParseError with the offending 1-based file row /
+    column on any schema violation.
     """
     path = Path(path)
     try:
@@ -82,6 +90,10 @@ def ingest_csv(path, standardize: bool = False) -> TimeSeriesPanel:
             )
         for j, cell in enumerate(row):
             try:
+                # `float` alone also reads PEP 515 underscores ("1_5") and
+                # non-ASCII digits and spaces ("１２")
+                if not cell.isascii() or "_" in cell:
+                    raise ValueError(cell)
                 value = float(cell)
             except ValueError:
                 raise CsvParseError(
@@ -123,26 +135,169 @@ def _quote(cell: str) -> str:
     return cell
 
 
-def _write_csv(path: Path, header: list[str], *blocks) -> None:
-    """Write a CSV whose columns are `blocks`, from left to right.
+# Floats are written as `'%.17g' % x` writes them, a whole array at a time.
+# A value with 1e-4 <= |x| < 1e16 is printed by `%.17g` in fixed notation from
+# its 17-digit decimal significand D = round-half-even(|x| * 10**(16 - k)),
+# k = floor(log10 |x|). 10**(16 - k) is exact in binary64, and Dekker's product
+# (with Veltkamp's split) gives |x| * 10**(16 - k) as p + err with no rounding
+# error, so D is exact. A cell is 40 bytes: "-0.000", the lead digit and "."
+# (one 8-byte word), then the other 16 digits as four words of "d.d.d.d.". A
+# mask chosen by (sign, k, digits left once trailing zeros go) keeps the
+# bytes of the text; the last byte holds the cell's separator. Every other
+# value (0, -0, |x| < 1e-4, |x| >= 1e16, non-finite, and the rare value whose
+# float log10 rounds up to the next power of ten) is formatted by `%.17g`
+# itself.
+_CELL_BYTES = 40
+_CHUNK_CELLS = 16_384  # cells formatted at a time, unless one row is longer
+
+
+def _group_words() -> np.ndarray:
+    # word g holds "d.d.d.d.", the four digits of g each followed by a point
+    text = np.full((10_000, 8), ord("."), dtype=np.uint8)
+    text[:, ::2] = ord("0") + np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10
+    return text.view(np.uint64).ravel()
+
+
+_LEAD_WORDS = np.frombuffer("".join(f"-0.000{d}." for d in range(10)).encode(), dtype=np.uint64)
+_GROUP_WORDS = _group_words()
+_GROUP_ZEROS = sum((np.arange(10_000) % 10**j == 0).astype(np.intp) for j in range(1, 5))
+_POW10 = np.array([float(10**e) for e in range(22)])  # exact in binary64
+
+
+def _split(v):
+    # Veltkamp: v == hi + lo with each half at most 26 significant bits
+    hi = v * 134217729.0  # 2**27 + 1
+    hi = hi - (hi - v)
+    return hi, v - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _keep_table() -> np.ndarray:
+    # row (negative * 20 + k + 4) * 17 + kept - 1: the bytes of a cell that
+    # `%.17g` prints for that sign, exponent k in [-4, 15] and `kept` digits
+    keep = np.zeros((2, 20, 17, _CELL_BYTES), dtype=bool)
+    keep[1, ..., 0] = True  # "-"
+    keep[..., -1] = True  # separator
+    for k in range(-4, 16):
+        for kept in range(1, 18):
+            row = keep[:, k + 4, kept - 1]
+            if k < 0:
+                row[:, 1:2 - k] = True  # "0." and -k - 1 zeros
+                row[:, 6:6 + 2 * kept:2] = True
+            else:
+                row[:, 6:6 + 2 * max(k + 1, kept):2] = True  # integer digits, then fraction
+                row[:, 2 * k + 7] = kept > k + 1  # the point, if a fraction digit is left
+    return keep.reshape(-1, _CELL_BYTES)
+
+
+_KEEP = _keep_table()
+
+
+def _significand(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    # round-half-even(a * 10**(16 - k)) as int64. Where that has 17 digits,
+    # p >= 2**53 is an even integer, so rounding p + err is p + rint(err)
+    e = 16 - k
+    p = a * _POW10[e]
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _POW10_HI[e], _POW10_LO[e]
+    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cells of `'%.17g' % v` for each v of the 1-D float array `x`.
+
+    Returns the (len(x), 40) cell bytes and the mask of those kept; the last
+    byte of every cell is kept, for the caller to set to a separator.
+    """
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a = np.where(fast, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.intp)
+    digits = _significand(a, k)
+    # D has 17 digits exactly when k is right: doubles below a power of ten
+    # are further from it than half a unit in the 17th digit, so rounding
+    # never carries D to 10**17. log10 can miss k by one just below a power
+    # of ten, and such a value takes the fallback
+    fast &= (digits >= 10**16) & (digits < 10**17)
+
+    high, low = np.divmod(digits, 10**8)
+    lead, high = np.divmod(high, 10**8)
+    groups = (*np.divmod(high, 10**4), *np.divmod(low, 10**4))
+    words = np.empty((x.size, 5), dtype=np.uint64)
+    words[:, 0] = _LEAD_WORDS[lead]
+    for j, group in enumerate(groups, 1):
+        words[:, j] = _GROUP_WORDS[group]
+    # digits of D left once its trailing zeros go, up to the last nonzero group
+    kept = 5 - _GROUP_ZEROS[groups[0]]
+    for end, group in zip((9, 13, 17), groups[1:]):
+        kept = np.where(group != 0, end - _GROUP_ZEROS[group], kept)
+    layout = (np.signbit(x) * 20 + k + 4) * 17 + kept - 1
+    layout[~fast] = 0
+    keep = np.take(_KEEP, layout, axis=0)
+    cells = words.view(np.uint8)
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = ["%.17g" % v for v in x[slow].tolist()]
+        cells[slow, :-1] = np.array(text, dtype=f"S{_CELL_BYTES - 1}").view(np.uint8).reshape(
+            slow.size, -1)
+        keep[slow, :-1] = np.arange(_CELL_BYTES - 1) < np.array([len(t) for t in text])[:, None]
+    return cells, keep
+
+
+def _column_cells(column) -> tuple[np.ndarray, np.ndarray]:
+    # (rows, bytes) cells of one column block, each ending in ",", and the
+    # mask of the bytes kept
+    if isinstance(column, list):
+        lengths = np.array([len(cell) for cell in column])
+        width = int(lengths.max()) + 1
+        cells = np.array(column, dtype=f"S{width}").view(np.uint8).reshape(len(column), width)
+        keep = np.arange(width) < lengths[:, None]
+        keep[:, -1] = True
+    else:
+        cells, keep = _float_cells(column.ravel())
+    cells[:, -1] = ord(",")
+    return cells.reshape(len(column), -1), keep.reshape(len(column), -1)
+
+
+def _csv_rows(blocks):
+    """The CSV text of the rows of column `blocks`, a chunk of rows at a time.
 
     A list of str is one column of quoted cells; a float array is one
     column if 1-D, or one column per array column if 2-D. Floats are
-    written with `%.17g`, which round-trips every finite double.
+    written as `'%.17g' % x` writes them, which round-trips every finite
+    double: `_float_cells` formats each value with 1e-4 <= |x| < 1e16, and
+    any other goes through `%.17g` itself. A chunk is at most `_CHUNK_CELLS`
+    (16 384) cells, or one row when a row has more, and becomes text by one
+    mask compress.
     """
-    columns, template = [], []
+    columns = []
     for block in blocks:
         if isinstance(block, list):
-            columns.append([_quote(cell) for cell in block])
-            template.append("%s")
+            columns.append([_quote(cell).encode() for cell in block])
         else:
             block = np.asarray(block, dtype=float)
-            block_columns = (block[:, None] if block.ndim == 1 else block).T.tolist()
-            columns += block_columns
-            template += ["%.17g"] * len(block_columns)
-    row = ",".join(template) + "\n"
+            columns.append(block[:, None] if block.ndim == 1 else block)
+    width = sum(1 if isinstance(column, list) else column.shape[1] for column in columns)
+    step = max(1, _CHUNK_CELLS // width)
+    for start in range(0, len(columns[0]), step):
+        cells, keep = zip(*(_column_cells(column[start:start + step]) for column in columns))
+        cells, keep = np.hstack(cells), np.hstack(keep)
+        cells[:, -1] = ord("\n")
+        yield np.compress(keep.ravel(), cells.ravel()).tobytes().decode()
+
+
+def _write_csv(path: Path, header: list[str], *blocks) -> None:
+    """Write a CSV of a header line and the rows of column `blocks` (`_csv_rows`).
+
+    The text is the same, byte for byte, as quoting each str cell and
+    formatting each float with `'%.17g' % x`, one cell at a time.
+    """
     _atomic_write(path, itertools.chain([",".join(map(_quote, header)) + "\n"],
-                                        (row % cells for cells in zip(*columns))))
+                                        _csv_rows(blocks)))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -234,9 +389,9 @@ def _cmd_resample(args) -> None:
     _write_csv(out / "bands.csv", header, t, bands.transpose(1, 0, 2).reshape(panel.n, 4 * k))
 
     replicates = [str(b) for b in range(B)]
+    stamps = "".join(_csv_rows([t])).splitlines()
     for j in range(k):
-        _write_csv(out / f"replicates_maf_{j + 1}.csv",
-                   ["replicate"] + ["%.17g" % x for x in t.tolist()],
+        _write_csv(out / f"replicates_maf_{j + 1}.csv", ["replicate"] + stamps,
                    replicates, envelope.replicate_factors[j])
     _write_csv(out / "replicate_coefficients.csv",
                ["factor", "replicate"] + [f"w_{i + 1}" for i in range(panel.p)],

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import os
 import re
@@ -18,7 +19,9 @@ import mafkit.errors
 from mafkit import (CsvParseError, DegenerateResidualError, DegenerateSeriesError,
                     InsufficientDataError, InvalidConfigError, InvalidInputError, MafkitError,
                     ParameterPoleError, SingularMatrixError, __version__)
-from mafkit.cli import _atomic_write, _quote, _write_csv, build_parser, ingest_csv, main
+import mafkit.cli
+from mafkit.cli import (_atomic_write, _csv_rows, _quote, _write_csv, build_parser, ingest_csv,
+                         main)
 from mafkit.datasets import example_panel_path
 from mafkit.simulate import SIGNAL_KINDS
 
@@ -78,6 +81,22 @@ class TestIngestCsv:
         path.write_text("a,b\n1.0,2.0\n3.0,x\n4.0,5.0\n")
         with pytest.raises(CsvParseError, match="row 3"):
             ingest_csv(path)
+
+    @pytest.mark.parametrize("cell", ["1_5", "１２", "١٢", "\u00a012"])
+    def test_cell_that_float_reads_but_is_not_ascii_decimal_is_located(self, tmp_path, cell):
+        # `float` reads PEP 515 underscores ("1_5" is 15.0), full-width and
+        # Arabic-Indic digits, and non-ASCII spaces
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,b\n1.0,2.0\n3.0,{cell}\n4.0,5.0\n", encoding="utf-8")
+        with pytest.raises(CsvParseError, match="is not a number") as exc:
+            ingest_csv(path)
+        assert (exc.value.row, exc.value.column) == (3, 2)
+
+    def test_ascii_decimal_spellings_are_read(self, tmp_path):
+        path = tmp_path / "ok.csv"
+        path.write_text("a,b\n1e5,-.5\n+3.,2.5E-3\n 7 ,-0\n")
+        np.testing.assert_array_equal(ingest_csv(path).values,
+                                      [[1e5, -0.5], [3.0, 2.5e-3], [7.0, 0.0]])
 
     def test_duplicate_headers(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -519,6 +538,105 @@ def test_block_writer_matches_per_cell_writer(tmp_path_factory, data):
     _write_csv(out / "blocks.csv", header, *blocks)
     reference_write_csv(out / "cells.csv", header, rows)
     assert (out / "blocks.csv").read_bytes() == (out / "cells.csv").read_bytes()
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 7, 64])
+def test_writer_chunks_match_per_cell_writer(tmp_path, monkeypatch, chunk_cells):
+    # chunks of one cell (one row each), of rows that do not divide the row
+    # count, and of several rows
+    monkeypatch.setattr(mafkit.cli, "_CHUNK_CELLS", chunk_cells)
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((50, 6)) * 10.0 ** rng.integers(-8, 20, (50, 6))
+    header = ["label", "t"] + [f"v{j}" for j in range(5)]
+    rows = [[f"r,{i}", *row] for i, row in enumerate(values)]
+    _write_csv(tmp_path / "blocks.csv", header, [row[0] for row in rows], values[:, 0],
+               values[:, 1:])
+    reference_write_csv(tmp_path / "cells.csv", header, rows)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+def test_resample_csvs_match_per_cell_writer_at_workload_scale(tmp_path):
+    # a 3000 x 8 panel: bands and replicate rows span more than one chunk,
+    # and the replicate files' header holds 3000 formatted time stamps
+    n, p = 3000, 8
+    rng = np.random.default_rng(8)
+    trend = np.sin(np.linspace(0.0, 6.0, n))[:, None] * rng.uniform(0.5, 2.0, p)
+    values = trend + rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-2, 2, p)
+    rows = [[1850.0 + 0.1 * i, *row] for i, row in enumerate(values)]
+    panel = tmp_path / "panel.csv"
+    reference_write_csv(panel, ["t"] + [f"s{j}" for j in range(p)], rows)
+    out = tmp_path / "out"
+    assert main(["resample", "--input", str(panel), "--output", str(out), "-B", "10",
+                 "--block-len", "20", "--factors", "2", "--seed", "3"]) == 0
+
+    def read(text):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
+    written = sorted(out.glob("*.csv"))
+    assert [path.name for path in written] == [
+        "bands.csv", "replicate_coefficients.csv", "replicates_maf_1.csv",
+        "replicates_maf_2.csv"]
+    for path in written:
+        with open(path, newline="") as fh:
+            header, *cells = csv.reader(fh)
+        header = [_fmt(cell) if isinstance(cell, float) else cell for cell in map(read, header)]
+        reference_write_csv(tmp_path / "reference.csv", header,
+                            [[read(cell) for cell in row] for row in cells])
+        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes(), path.name
+
+
+def float_sweep() -> np.ndarray:
+    """1 000 158 doubles that probe the float kernel and its fallback.
+
+    Standard normals; log-uniform magnitudes over [1e-6, 1e18), across the
+    kernel's range [1e-4, 1e16) and its edges; odd integers in [2**40, 2**53)
+    over 2 ** (1..12), about 26 000 of which are exact ties at the 17th
+    digit; random bit patterns, log-uniform over the whole finite range,
+    and subnormals; every power of ten from 1e-6 to 1e18 and its two
+    neighbours; and 0, the largest, the smallest normal and the smallest
+    subnormal double. All of either sign.
+    """
+    rng = np.random.default_rng(17)
+
+    def signed(x):
+        return x * rng.choice([-1.0, 1.0], x.size)
+
+    powers = np.array([float(f"1e{e}") for e in range(-6, 19)])
+    odd = rng.integers(2**40, 2**53, 200_000) | 1
+    finite = np.finfo(float)
+    return np.concatenate([
+        rng.standard_normal(400_000),
+        signed(10.0 ** rng.uniform(-6, 18, 340_000)),
+        signed(odd / 2.0 ** rng.integers(1, 13, odd.size)),
+        signed(rng.integers(1, 0x7FF0_0000_0000_0000, 50_000).view(np.float64)),
+        signed(rng.integers(1, 2**52, 10_000).view(np.float64)),
+        *(sign * near for near in (powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf))
+          for sign in (1.0, -1.0)),
+        [0.0, -0.0, finite.max, -finite.max, finite.tiny, -finite.tiny, 5e-324, -5e-324],
+    ])
+
+
+# sha256 of `"%.17g\n" * n % tuple(float_sweep())`, recorded once, so that
+# CPython's per-value formatting of the sweep (about 1 s on a 2-vCPU host)
+# runs only when the kernel's text has another digest
+FLOAT_SWEEP_SHA256 = "77628c82bfa9123ec473eacfdaa40e247bb16e0ec6363519b801343ba94807af"
+
+
+def test_float_kernel_writes_what_percent_17g_writes():
+    x = float_sweep()
+    assert x.size >= 10**6
+    text = "".join(_csv_rows([x]))
+    if hashlib.sha256(text.encode()).hexdigest() == FLOAT_SWEEP_SHA256:
+        return
+    # another digest: either the kernel is wrong or this numpy draws another
+    # sweep, so compare with `%.17g` itself and name the first wrong cells
+    got, expected = text.splitlines(), ("%.17g\n" * x.size % tuple(x.tolist())).splitlines()
+    assert len(got) == len(expected)
+    wrong = [(float(v), g, e) for v, g, e in zip(x, got, expected) if g != e]
+    assert not wrong, wrong[:5]
 
 
 def test_atomic_write_keeps_the_old_file_when_a_piece_fails(tmp_path):
