@@ -116,11 +116,16 @@ def ingest_csv(path, standardize: bool = False) -> TimeSeriesPanel:
 
 def _atomic_write(path: Path, pieces) -> None:
     # the pieces stream into a temp file beside `path`, which replaces
-    # `path` only once every piece is written
+    # `path` only once every piece is written. mkstemp makes it 0600, so it
+    # is first given the mode open() would give it: 0666 less the umask,
+    # which can only be read by setting it
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(pieces)
+        umask = os.umask(0o022)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

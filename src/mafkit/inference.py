@@ -19,9 +19,9 @@ p factors of each panel, and each caller slices the ones its statistic
 uses. A singular replicate is redrawn from its own stream; more than 10% of
 B redraws is an error. The permutation null passes the driver its own
 decomposition (`_permutation_null`): a row permutation leaves the
-covariance unchanged, so the residuals are whitened once and each permuted
-panel is decomposed from its lag-1 moments, with no covariance, whitening
-or redraw per replicate.
+covariance unchanged, so the residuals go through `maf_stack` once, and each
+permuted panel of their MAF factors is decomposed from its lag-1 moments,
+with no covariance, whitening or redraw per replicate.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from .errors import (
     InvalidInputError,
     SingularMatrixError,
 )
-from .linalg import require_spd, unit_scale_columns, unit_series
-from .maf import MafStack, compute_maf, compute_pca, lag1_autocorrelation, maf_stack, whiten_stack
+from .linalg import unit_scale_columns, unit_series
+from .maf import MafStack, compute_maf, compute_pca, lag1_autocorrelation, maf_stack
 from .panel import as_panel
 from .simulate import SignalSpec, gen_signal, gen_sn_stack, noise_cholesky
 from .smoothing import SmootherConfig, empirical_snr, smooth_columns, snr_columns
@@ -187,26 +187,32 @@ def _factor_snrs(factors: np.ndarray, cfg: SmootherConfig) -> np.ndarray:
 
 def _permutation_null(residuals: np.ndarray):
     """`draw` and `decompose` for `_replicates` over the row permutations
-    of an (n, p) residual panel, whitened once.
+    of an (n, p) residual panel, in the residuals' own MAF coordinates.
 
-    A row permutation leaves the sample covariance S unchanged, so S is
-    checked once (`require_spd`; no replicate can be singular, so none is
-    redrawn) and the residuals are whitened once by `whiten_stack`:
-    Z = (scaled residuals, centered) S^{-1/2}, and G0 = Z^T Z. `draw` stacks
-    the permuted rows Z[pi], one `rng.permutation(n)` per replicate. The
-    differenced covariance of each comes from its lag-1 moments: with
-    G1 = Z[pi][1:]^T Z[pi][:-1], f and l its first and last rows,
+    MAF is affine-invariant, so any whitening of the residuals serves the
+    null, and their MAF factors are whitened. So the residuals go through
+    `maf_stack` once: C is its coefficients and Z its factors, centered. A
+    row permutation leaves the sample covariance unchanged, so that call's
+    SPD rule covers every replicate (none can be singular, so none is
+    redrawn), and a singular residual covariance raises SingularMatrixError
+    naming the residuals. `draw` stacks the permuted rows Z[pi], one
+    `rng.permutation(n)` per replicate. The differenced covariance of each
+    comes from its lag-1 moments: with G0 = Z^T Z, G1 = Z[pi][1:]^T
+    Z[pi][:-1], and f and l the first and last rows of Z[pi],
     D = (2 G0 - f f^T - l l^T - (G1 + G1^T) - (l - f)(l - f)^T / (n - 1)) / (n - 2).
     One batched eigh of D gives the ascending eigenvalues and V; the
-    factors are Z[pi] V, centered, and the coefficients S^{-1/2} V scaled
-    back. The moments cancel when rows are strongly autocorrelated, but
-    permuted rows have lag-1 autocorrelation near 0; every other
-    replicate panel goes through `maf_stack`.
+    factors are Z[pi] V, centered, and the coefficients C V. The moments
+    cancel when rows are strongly autocorrelated, but permuted rows have
+    lag-1 autocorrelation near 0; every other replicate panel goes through
+    `maf_stack`.
     """
-    x, exponents, whitener, cov_values = whiten_stack(residuals[None])
-    require_spd(cov_values, "sample covariance of the residuals")
-    n = x.shape[1]
-    z = (x[0] - x[0].mean(axis=0)) @ whitener[0]
+    try:
+        basis = maf_stack(residuals[None])
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(f"the residuals' {exc}") from exc
+    coefficients, z = basis.coefficients[0], basis.factors[0]
+    z = z - z.mean(axis=0)
+    n = len(z)
     g0 = z.T @ z
 
     def draw(rngs):
@@ -223,7 +229,7 @@ def _permutation_null(residuals: np.ndarray):
         diff_cov = (2.0 * g0 - outer(first) - outer(last) - (g1 + np.swapaxes(g1, 1, 2))
                     - outer(jump) / (n - 1)) / (n - 2)
         values, vectors = np.linalg.eigh(diff_cov)
-        return MafStack(np.ldexp(whitener @ vectors, -exponents), zs @ vectors, values,
+        return MafStack(coefficients @ vectors, zs @ vectors, values,
                         np.zeros(len(zs), dtype=bool))
 
     return draw, decompose
@@ -309,10 +315,9 @@ def resample_maf(panel, B: int, block_len: int = 1,
         flips = np.where(np.einsum("mtj,tj->mj", centered, orig_centered) < 0, -1.0, 1.0)
         flips = flips[:, None, :]
         # coefficients scale as 1 / (the panel's scale): each column is first
-        # divided by the exact power of two of its peak, so its norm neither
-        # over- nor underflows, and the unit column keeps every bit
-        _, exponents = np.frexp(np.abs(coefs).max(axis=1, keepdims=True))
-        coefs = np.ldexp(coefs, -exponents)
+        # scaled exactly by `unit_scale_columns`, so its norm neither over-
+        # nor underflows, and the unit column keeps every bit
+        coefs, _ = unit_scale_columns(coefs)
         coefs = coefs * flips / np.linalg.norm(coefs, axis=1, keepdims=True)
         rep_factors[:, start:stop] = (factors * flips).transpose(2, 0, 1)
         rep_coefs[:, start:stop] = coefs.transpose(2, 0, 1)
@@ -368,10 +373,11 @@ def signal_presence_test(panel, B: int, cfg: SmootherConfig = SmootherConfig(),
     block_len == 1) or "bootstrap" (circular blocks of block_len rows drawn
     with replacement, `_resample_indices`). The default picks permutation
     for block_len == 1 and bootstrap otherwise. Permuted panels all share
-    the residuals' covariance, so it is checked and whitened once, and each
-    null panel is decomposed from its lag-1 moments (`_permutation_null`);
-    a singular residual covariance raises SingularMatrixError. Singular
-    bootstrap panels are redrawn (`_replicates`).
+    the residuals' covariance, so the residuals are decomposed once, and
+    each null panel is decomposed from its lag-1 moments in their MAF
+    coordinates (`_permutation_null`); a singular residual covariance
+    raises SingularMatrixError. Singular bootstrap panels are redrawn
+    (`_replicates`).
     """
     panel = as_panel(panel)
     n, p = panel.n, panel.p

@@ -7,7 +7,9 @@ reported magnitudes, never directions.
 
 `covariance_stack`, `sym_eig` and `inverse_sqrt_stack` also take stacks of
 panels or matrices on leading axes, for the batched MAF kernel, and
-`spd_singular` is the one rule every singularity check applies.
+`spd_singular` is the one rule every singularity check applies. The MAF
+kernel applies it to the equilibrated covariance D S D, whose diagonal
+lies in [0.25, 1), so a panel is not singular for its series' units.
 `inverse_sqrt_stack` takes covariances its caller built (exactly symmetric
 and finite, as from `covariance_stack`) and checks nothing; the entry
 points for matrices from outside, `inverse_sqrt`, `sym_eig` and
@@ -17,8 +19,9 @@ one orientation of `sym_eig`'s eigenvectors and of unit weight vectors
 
 `unit_series` is the one rule for the input of a series statistic (one
 series of at least 3 finite points, not constant), which it rescales by
-the exact power of two of `unit_scale_columns`; blocks of columns go
-through `unit_scale_columns` itself, which rejects a NaN or inf.
+the exact power of two of `unit_scale_columns`; blocks of columns, and
+stacks of blocks, go through `unit_scale_columns` itself, which rejects a
+NaN or inf.
 """
 
 from __future__ import annotations
@@ -73,12 +76,14 @@ def covariance_stack(x: np.ndarray) -> np.ndarray:
 def unit_scale_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Columns scaled exactly, by powers of two, to peak |values| in [0.5, 1), and those peaks.
 
+    `values` is one (n, c) block of columns or an (..., n, c) stack of them:
+    each column runs along axis -2, and the peaks have shape (..., c).
     Raises InvalidInputError if a value is NaN or inf (so is its column's peak).
     """
-    peaks, exponents = np.frexp(np.abs(values).max(axis=0, initial=0.0))
+    peaks, exponents = np.frexp(np.abs(values).max(axis=-2, initial=0.0))
     if not np.all(np.isfinite(peaks)):
         raise InvalidInputError("series contains non-finite values")
-    return np.ldexp(values, -exponents), peaks
+    return np.ldexp(values, -exponents[..., None, :]), peaks
 
 
 def one_column(series) -> np.ndarray:

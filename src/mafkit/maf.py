@@ -12,7 +12,8 @@ autocorrelation formula and `standardize_columns` the one standardization
 (PCA and the CLI's `--standardize`). `factor_autocorrelation` takes its
 series through `linalg.unit_series`, the one rule for a series statistic's
 input, and MAF is free of scale like it: `maf_stack` scales each panel by a
-power of two first.
+power of two first, and equilibrates its covariance by a power of two per
+series, so neither the panel's scale nor each series' units matter.
 
 `maf_stack` runs this algorithm over a stack of panels of one shape with
 batched numpy linear algebra (Switzer & Green 1984). One eigendecomposition
@@ -20,8 +21,9 @@ yields all p factors, so it returns them all, and how many to keep is the
 caller's slice. `compute_maf` is its one-panel case, and the resampling
 functions in `mafkit.inference` feed it chunks of replicate panels; each
 row of a stack is bitwise the decomposition `compute_maf` gives that panel,
-up to the trend sign. Its head, `whiten_stack`, is the one whitener; the
-permutation null whitens its residuals with it once.
+up to the trend sign. It is the one function that scales and whitens panels
+and applies the SPD rule to them; the permutation null decomposes its
+residuals with it once and works in their MAF coordinates.
 """
 
 from __future__ import annotations
@@ -101,8 +103,8 @@ class MafStack(NamedTuple):
     factors : (m, n, p), panel values @ coefficients.
     diff_eigenvalues : (m, p) ascending eigenvalues K of the whitened
         differenced covariance; lag-1 autocorrelation is 1 - K/2.
-    singular : (m,) True where the panel's sample covariance failed the
-        SPD rule (only possible with `allow_singular`); those panels'
+    singular : (m,) True where the panel's equilibrated sample covariance
+        failed the SPD rule (only possible with `allow_singular`); those panels'
         entries are NaN.
     """
 
@@ -112,17 +114,27 @@ class MafStack(NamedTuple):
     singular: np.ndarray
 
 
-def whiten_stack(x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The head of the MAF kernel, for every panel of an (m, n, p) stack.
+def maf_stack(x, allow_singular: bool = False) -> MafStack:
+    """MAF decomposition of every panel of an (m, n, p) stack at once.
 
-    Each panel is scaled by the one power of two that puts its peak |value|
-    in [0.5, 1), and its centered covariance S (`covariance_stack`) is
-    whitened by S^{-1/2} (`inverse_sqrt_stack`, batched eigh). The scaling
-    is exact, so x @ whitener keeps every bit of the unscaled product, and
-    no covariance over- or underflows for any |values| from about 1e-300 to
-    1e300. Returns (scaled panels, (m, 1, 1) exponents of the scale,
-    whiteners, ascending eigenvalues of S); the caller applies the SPD rule
-    to the eigenvalues (`spd_singular`, `require_spd`).
+    Per panel: exact power-of-two scaling (the one power of two that puts
+    the peak |value| in [0.5, 1)), centered covariance S, equilibrated as
+    S' = D S D with D = diag(2^-e) for the powers of two 2^e of the square
+    roots of S's diagonal, whitening by W = D S'^{-1/2}
+    (`inverse_sqrt_stack`, batched eigh), covariance of the differenced
+    whitened rows, and its ascending eigendecomposition (batched
+    `np.linalg.eigh`), which yields all p factors at once; a caller that
+    needs fewer slices them. The scalings are exact, so no covariance over-
+    or underflows for any |values| from about 1e-300 to 1e300, and the
+    coefficients are scaled back, so the result does not depend on the
+    panel's scale. The SPD rule applies to S', so it does not depend on the
+    units of each series either. Both covariances come from
+    `covariance_stack`, exactly symmetric, so neither is re-checked. This is
+    the one function that scales and whitens panels and applies the SPD
+    rule to them. No sign rule is applied: each factor keeps LAPACK's sign,
+    and the callers set theirs (`compute_maf` the trend sign,
+    `resample_maf` alignment with the original factors; the test, power and
+    comparison statistics ignore sign).
 
     Raises
     ------
@@ -131,6 +143,10 @@ def whiten_stack(x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         finiteness check, on each panel's peak |value|).
     InsufficientDataError
         If n <= p, or n < 3 (the differenced covariance needs two rows).
+    SingularMatrixError
+        If a panel's equilibrated sample covariance S' is numerically
+        singular, unless `allow_singular`, which flags such panels in
+        `singular` instead.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 3:
@@ -148,34 +164,13 @@ def whiten_stack(x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(peaks)):
         raise InvalidInputError("panel has non-finite values")
     x = np.ldexp(x, -exponents)
-    whitener, cov_values = inverse_sqrt_stack(covariance_stack(x))
-    return x, exponents, whitener, cov_values
-
-
-def maf_stack(x, allow_singular: bool = False) -> MafStack:
-    """MAF decomposition of every panel of an (m, n, p) stack at once.
-
-    Per panel: `whiten_stack` (exact power-of-two scaling, centered
-    covariance S, whitening by S^{-1/2}), covariance of the differenced
-    whitened rows, and its ascending eigendecomposition (batched
-    `np.linalg.eigh`), which yields all p factors at once; a caller that
-    needs fewer slices them. The coefficients are scaled back, so the
-    result does not depend on the panel's scale. Both covariances come from
-    `covariance_stack`, exactly symmetric, so neither is re-checked. No
-    sign rule is applied: each factor keeps LAPACK's sign, and the callers
-    set theirs (`compute_maf` the trend sign, `resample_maf` alignment with
-    the original factors; the test, power and comparison statistics ignore
-    sign).
-
-    Raises
-    ------
-    InvalidInputError, InsufficientDataError
-        As `whiten_stack`.
-    SingularMatrixError
-        If a panel's sample covariance is numerically singular, unless
-        `allow_singular`, which flags such panels in `singular` instead.
-    """
-    x, exponents, whitener, cov_values = whiten_stack(x)
+    # S' = D S D has a diagonal in [0.25, 1), so the SPD rule sees series of
+    # any units alike; D is a power of two per series, so S' and the rows
+    # of W = D S'^{-1/2} are scaled exactly
+    cov = covariance_stack(x)
+    _, e = np.frexp(np.sqrt(np.diagonal(cov, axis1=1, axis2=2)))
+    root, cov_values = inverse_sqrt_stack(np.ldexp(cov, -(e[:, :, None] + e[:, None, :])))
+    whitener = np.ldexp(root, -e[:, :, None])
     singular = spd_singular(cov_values)
     if not allow_singular:
         require_spd(cov_values, "sample covariance")
@@ -328,5 +323,4 @@ __all__ = [
     "compute_pca",
     "factor_autocorrelation",
     "maf_stack",
-    "whiten_stack",
 ]

@@ -10,8 +10,9 @@ including one replicate per chunk, chunks that do not divide B, and all of
 B in one chunk. The comparison experiment is held to the per-panel loop
 it replaced (`gen_sn_panel`, `compute_maf`, `compute_pca` and the recovery
 statistics on the spawned children) in the same way. The permutation null,
-whitened once and decomposed from lag-1 moments, is also held to
-`maf_stack` on every permuted residual panel (`maf_stack_permutation_null`).
+decomposed from lag-1 moments in the residuals' MAF coordinates, is also
+held to `maf_stack` on every permuted residual panel
+(`maf_stack_permutation_null`).
 """
 
 import math
@@ -101,8 +102,14 @@ def redrawn(draw, rng):
 def checked_maf_stack(x, allow_singular):
     """`maf_stack`'s decomposition as it was when the kernel re-checked both
     covariances (`_check_symmetric`) and oriented each eigenvector with
-    `sym_eig` (largest-magnitude component positive)."""
-    whitener, cov_values = inverse_sqrt_stack(_check_symmetric(covariance_stack(x)))
+    `sym_eig` (largest-magnitude component positive). The covariance S is
+    equilibrated as in `maf_stack`: S' = D S D, D = diag(2^-e) for the
+    powers of two 2^e of the square roots of S's diagonal, whitened by
+    D S'^{-1/2}."""
+    cov = _check_symmetric(covariance_stack(x))
+    _, e = np.frexp(np.sqrt(np.diagonal(cov, axis1=1, axis2=2)))
+    root, cov_values = inverse_sqrt_stack(np.ldexp(cov, -(e[:, :, None] + e[:, None, :])))
+    whitener = np.ldexp(root, -e[:, :, None])
     singular = spd_singular(cov_values)
     if not allow_singular:
         require_spd(cov_values, "sample covariance")
@@ -340,6 +347,37 @@ class TestKernel:
         for huge, plain in zip(artifacts[1], artifacts[0]):
             np.testing.assert_allclose(huge, plain, atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e6, 1e16])
+    def test_one_series_in_other_units_decomposes_like_the_panel(self, example, scale):
+        # MAF is invariant to per-series scaling: the covariance is
+        # equilibrated before the SPD rule, so series 4 in other units is not
+        # a singular panel, and only its coefficients keep the scale
+        values = example.values.copy()
+        values[:, 3] *= scale
+        plain, scaled = compute_maf(example), compute_maf(values)
+        np.testing.assert_allclose(scaled.autocorrelations, plain.autocorrelations,
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(scaled.factors, plain.factors, rtol=0, atol=1e-12)
+        coefficients = scaled.coefficients * np.array([1.0, 1.0, 1.0, scale])[:, None]
+        np.testing.assert_allclose(coefficients, plain.coefficients, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e6, 1e16])
+    def test_one_series_in_other_units_decomposes_like_the_panel_in_the_cli(self, example,
+                                                                             scale, tmp_path):
+        values = example.values.copy()
+        values[:, 3] *= scale
+        artifacts = []
+        for name, panel in (("plain", example.values), ("scaled", values)):
+            path = tmp_path / f"{name}.csv"
+            rows = [",".join(repr(float(v)) for v in row) for row in panel]
+            path.write_text("a,b,c,d\n" + "\n".join(rows) + "\n")
+            assert main(["decompose", "--input", str(path), "--output", str(tmp_path / name)]) == 0
+            # the spectrum and the factors (MAF and standardized PCA) are free of units
+            artifacts.append([np.loadtxt(tmp_path / name / f"{artifact}.csv", delimiter=",",
+                                         skiprows=1) for artifact in ("spectrum", "factors")])
+        for scaled, plain in zip(artifacts[1], artifacts[0]):
+            np.testing.assert_allclose(scaled, plain, rtol=0, atol=1e-12)
+
     def test_snr_columns_matches_empirical_snr(self, rng):
         y = rng.standard_normal((120, 5)).cumsum(axis=0) + rng.standard_normal((120, 5))
         cfg = SmootherConfig(span_fraction=0.3)
@@ -572,13 +610,14 @@ class TestPresence:
 
     @pytest.mark.parametrize("B", [99, 1000])
     def test_permutation_null_never_calls_maf_stack(self, example, monkeypatch, B):
-        # the one call is compute_maf's, on the observed panel
+        # no call per chunk: the two calls are compute_maf's, on the observed
+        # panel, and the null's, on the residuals
         calls = count_maf_stack(monkeypatch)
         signal_presence_test(example, B=B, n_factors_tested=2, seed=4)
-        assert calls == [1]
+        assert calls == [1, 1]
         calls.clear()
         select_num_factors(example, method="test", B=B, seed=4)
-        assert calls == [1]
+        assert calls == [1, 1]
 
     @pytest.mark.parametrize("B", [99, 1000])
     def test_bootstrap_null_calls_maf_stack_once_per_chunk(self, example, monkeypatch, B):
