@@ -7,9 +7,14 @@ reported magnitudes, never directions.
 
 `covariance_stack`, `sym_eig` and `inverse_sqrt_stack` also take stacks of
 panels or matrices on leading axes, for the batched MAF kernel, and
-`spd_singular` is the one rule every singularity check applies. The MAF
-kernel applies it to the equilibrated covariance D S D, whose diagonal
-lies in [0.25, 1), so a panel is not singular for its series' units.
+`spd_singular` is the one rule every singularity check applies.
+`covariance_stack` is the one covariance: it takes time-major (..., p, n)
+panels, each series along the last axis, the layout the MAF kernel keeps
+its chunks in, so its centring and product run along contiguous time;
+`sample_covariance` passes it an (n, p) panel transposed. The MAF
+kernel applies the SPD rule to the equilibrated covariance D S D, whose
+diagonal lies in [0.25, 1), so a panel is not singular for its series'
+units.
 `inverse_sqrt_stack` takes covariances its caller built (exactly symmetric
 and finite, as from `covariance_stack`) and checks nothing; the entry
 points for matrices from outside, `inverse_sqrt`, `sym_eig` and
@@ -58,18 +63,21 @@ def sample_covariance(panel) -> np.ndarray:
     panel = as_panel(panel)
     if panel.n < 2:
         raise InsufficientDataError(f"covariance needs at least 2 rows, got {panel.n}")
-    return covariance_stack(panel.values)
+    return covariance_stack(panel.values.T)
 
 
 def covariance_stack(x: np.ndarray) -> np.ndarray:
-    """Centered 1/(n-1) covariance of every (n, p) panel of an (..., n, p) stack.
+    """Centered 1/(n-1) covariance of every time-major (p, n) panel of a
+    (..., p, n) stack: each series runs along the last axis, so both the
+    centring and the product reduce along contiguous time when the stack is
+    C-contiguous.
 
     The caller guarantees n >= 2 and finite values; the result is exactly
     symmetric, shape (..., p, p).
     """
-    n = x.shape[-2]
-    centered = x - x.mean(axis=-2, keepdims=True)
-    cov = _swap(centered) @ centered / (n - 1)
+    n = x.shape[-1]
+    centered = x - x.mean(axis=-1, keepdims=True)
+    cov = centered @ _swap(centered) / (n - 1)
     return 0.5 * (cov + _swap(cov))
 
 

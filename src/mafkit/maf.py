@@ -11,14 +11,17 @@ uncorrelated with the earlier ones. `lag1_autocorrelation` is the one
 autocorrelation formula and `standardize_columns` the one standardization
 (PCA and the CLI's `--standardize`). `factor_autocorrelation` takes its
 series through `linalg.unit_series`, the one rule for a series statistic's
-input, and MAF is free of scale like it: `maf_stack` scales each panel by a
-power of two first, and equilibrates its covariance by a power of two per
-series, so neither the panel's scale nor each series' units matter.
+input, and MAF is free of scale like it: `maf_stack` scales each series by
+its own power of two first, and equilibrates its covariance by a power of
+two per series, so neither the panel's scale nor each series' scale or
+units matter.
 
 `maf_stack` runs this algorithm over a stack of panels of one shape with
-batched numpy linear algebra (Switzer & Green 1984). One eigendecomposition
-yields all p factors, so it returns them all, and how many to keep is the
-caller's slice. `compute_maf` is its one-panel case, and the resampling
+batched numpy linear algebra (Switzer & Green 1984), on one time-major
+(m, p, n) copy of the stack, so each reduction over time runs along
+contiguous memory (Golub & Van Loan, *Matrix Computations*, §8.7). One
+eigendecomposition yields all p factors, so it returns them all, and how
+many to keep is the caller's slice. `compute_maf` is its one-panel case, and the resampling
 functions in `mafkit.inference` feed it chunks of replicate panels; each
 row of a stack is bitwise the decomposition `compute_maf` gives that panel,
 up to the trend sign. It is the one function that scales and whitens panels
@@ -100,7 +103,8 @@ class MafStack(NamedTuple):
     coefficients : (m, p, p) weights, columns in ascending eigenvalue order,
         each with the sign LAPACK gave it; callers that publish factors set
         their own sign rule.
-    factors : (m, n, p), panel values @ coefficients.
+    factors : (m, n, p), panel values @ coefficients; a view of the
+        kernel's time-major (m, p, n) product, writable like an array.
     diff_eigenvalues : (m, p) ascending eigenvalues K of the whitened
         differenced covariance; lag-1 autocorrelation is 1 - K/2.
     singular : (m,) True where the panel's equilibrated sample covariance
@@ -117,30 +121,34 @@ class MafStack(NamedTuple):
 def maf_stack(x, allow_singular: bool = False) -> MafStack:
     """MAF decomposition of every panel of an (m, n, p) stack at once.
 
-    Per panel: exact power-of-two scaling (the one power of two that puts
-    the peak |value| in [0.5, 1)), centered covariance S, equilibrated as
-    S' = D S D with D = diag(2^-e) for the powers of two 2^e of the square
-    roots of S's diagonal, whitening by W = D S'^{-1/2}
-    (`inverse_sqrt_stack`, batched eigh), covariance of the differenced
-    whitened rows, and its ascending eigendecomposition (batched
+    The stack is copied once into time-major (m, p, n) layout, so every
+    reduction over time below runs along the contiguous last axis. Per
+    panel: exact power-of-two scaling of each series (the one power of two
+    that puts the series' peak |value| in [0.5, 1)), centered covariance S
+    (`covariance_stack`), equilibrated as S' = D S D with D = diag(2^-e)
+    for the powers of two 2^e of the square roots of S's diagonal,
+    whitening by W = D S'^{-1/2} (`inverse_sqrt_stack`, batched eigh), so
+    the whitened panel is W^T x^T, covariance of its differences along
+    time, and its ascending eigendecomposition (batched
     `np.linalg.eigh`), which yields all p factors at once; a caller that
     needs fewer slices them. The scalings are exact, so no covariance over-
-    or underflows for any |values| from about 1e-300 to 1e300, and the
-    coefficients are scaled back, so the result does not depend on the
-    panel's scale. The SPD rule applies to S', so it does not depend on the
-    units of each series either. Both covariances come from
-    `covariance_stack`, exactly symmetric, so neither is re-checked. This is
-    the one function that scales and whitens panels and applies the SPD
-    rule to them. No sign rule is applied: each factor keeps LAPACK's sign,
-    and the callers set theirs (`compute_maf` the trend sign,
-    `resample_maf` alignment with the original factors; the test, power and
-    comparison statistics ignore sign).
+    or underflows for any |values| from about 1e-300 to 1e300, and each
+    coefficient row is scaled back by its series' power of two, so the
+    result does not depend on the panel's scale nor on any one series'
+    scale. The SPD rule applies to S', so it does not depend on the units
+    of each series either. Both covariances come from `covariance_stack`,
+    exactly symmetric, so neither is re-checked. This is the one function
+    that scales and whitens panels and applies the SPD rule to them. No
+    sign rule is applied: each factor keeps LAPACK's sign, and the callers
+    set theirs (`compute_maf` the trend sign, `resample_maf` alignment with
+    the original factors; the test, power and comparison statistics ignore
+    sign).
 
     Raises
     ------
     InvalidInputError
         If `x` is not a 3-D array, or a panel holds a NaN or inf (one
-        finiteness check, on each panel's peak |value|).
+        finiteness check, on each series' peak |value|).
     InsufficientDataError
         If n <= p, or n < 3 (the differenced covariance needs two rows).
     SingularMatrixError
@@ -158,9 +166,11 @@ def maf_stack(x, allow_singular: bool = False) -> MafStack:
         raise InsufficientDataError(
             f"MAF needs more time steps than series and at least 3, got n={n}, p={p}"
         )
-    # a NaN or inf is its panel's peak, and a scaled panel's covariance is
+    # time-major: every reduction below runs along contiguous time
+    x = np.ascontiguousarray(np.swapaxes(x, 1, 2))
+    # a NaN or inf is its series' peak, and a scaled panel's covariance is
     # bounded, so a finite peak is the one finiteness check
-    peaks, exponents = np.frexp(np.abs(x).max(axis=(1, 2), keepdims=True))
+    peaks, exponents = np.frexp(np.abs(x).max(axis=2, keepdims=True))
     if not np.all(np.isfinite(peaks)):
         raise InvalidInputError("panel has non-finite values")
     x = np.ldexp(x, -exponents)
@@ -174,9 +184,10 @@ def maf_stack(x, allow_singular: bool = False) -> MafStack:
     singular = spd_singular(cov_values)
     if not allow_singular:
         require_spd(cov_values, "sample covariance")
-    diff_values, vectors = np.linalg.eigh(covariance_stack(np.diff(x @ whitener, axis=1)))
+    white = np.swapaxes(whitener, 1, 2) @ x
+    diff_values, vectors = np.linalg.eigh(covariance_stack(np.diff(white, axis=2)))
     coefficients = whitener @ vectors
-    factors = x @ coefficients
+    factors = np.swapaxes(np.swapaxes(coefficients, 1, 2) @ x, 1, 2)
     coefficients = np.ldexp(coefficients, -exponents)
     if np.any(singular):
         coefficients[singular] = factors[singular] = diff_values[singular] = np.nan
