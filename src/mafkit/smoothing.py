@@ -2,12 +2,17 @@
 
 Rows are treated as equally spaced, so the smoother is a fixed linear map
 y -> L y for a given (n, config). Row i's window is the k rows around it,
-shifted inward at the ends, so L is filled from a (k, k) table of local-fit
-weights, one row per offset of i in its window. A degree-d fit needs
-k - 1 - (k mod 2) >= d + 2 points of nonzero tricube weight, or it would
-interpolate. Only the most recent L is kept, and it is dropped before the
-next is built. Its trace is the smoother's degrees of freedom, which
-`SmoothResult` reports.
+shifted inward at the ends, so row i of L is one row of a (k, k) table of
+local-fit weights, the one for the offset of i in its window. A degree-d
+fit needs k - 1 - (k mod 2) >= d + 2 points of nonzero tricube weight, or
+it would interpolate. L itself is never built: the k // 2 head and the
+k - 1 - k // 2 tail rows are table rows applied to the first and last k
+values, and the n - k + 1 interior rows, which all have offset k // 2, are
+applied BLOCK_ROWS at a time through one Toeplitz block of that table row.
+So the operator holds O(k^2 + BLOCK_ROWS * k) floats, not n^2. Only the
+most recent operator is kept, and it is dropped before the next is built.
+L's trace is the smoother's degrees of freedom, which `SmoothResult`
+reports.
 `smooth_columns` is the one way to apply L, to many columns at once;
 `snr_columns` takes its fitted values and residuals of columns rescaled
 exactly (`unit_scale_columns`, which also rejects a NaN or inf), and
@@ -25,6 +30,7 @@ from functools import wraps
 from types import SimpleNamespace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateResidualError,
@@ -33,6 +39,10 @@ from .errors import (
     InvalidInputError,
 )
 from .linalg import one_column, unit_scale_columns
+
+# Interior rows of L applied per Toeplitz block: the block holds
+# BLOCK_ROWS * (BLOCK_ROWS + k - 1) floats, beside the (k, k) offset table.
+BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -65,9 +75,10 @@ class SmoothResult:
 
 def _one_slot_cache(fn):
     """Cache the one most recent result of `fn`, like `lru_cache(maxsize=1)`,
-    but drop the old result before computing a new one, so two n x n hat
-    matrices are never alive together. `cache_info()` reports the running
-    count of misses and whether a result is held."""
+    but drop the old result before computing a new one, so two smoother
+    operators (offset table and Toeplitz block) are never alive together.
+    `cache_info()` reports the running count of misses and whether a result
+    is held; `cache_clear()` drops the held result."""
     slot: dict = {}
     misses = 0
 
@@ -81,11 +92,12 @@ def _one_slot_cache(fn):
         return slot[args]
 
     cached.cache_info = lambda: SimpleNamespace(misses=misses, currsize=len(slot))
+    cached.cache_clear = slot.clear
     return cached
 
 
 @_one_slot_cache
-def _hat_matrix(n: int, cfg: SmootherConfig) -> tuple[np.ndarray, float]:
+def _hat_matrix(n: int, cfg: SmootherConfig) -> tuple[np.ndarray, np.ndarray, float]:
     k = cfg.window_size(n)
     # tricube weights vanish at a window's far end, and at both ends of a
     # centred odd window: a fit on fewer than degree + 2 weighted points
@@ -107,11 +119,16 @@ def _hat_matrix(n: int, cfg: SmootherConfig) -> tuple[np.ndarray, float]:
         xtw = x.T * w
         # local fit evaluated at the window's own point is the intercept coefficient
         table[offset] = (np.linalg.pinv(xtw @ x) @ xtw)[0]
-    hat = np.zeros((n, n))
-    for i in range(n):
-        lo = min(max(i - k // 2, 0), n - k)
-        hat[i, lo:lo + k] = table[i - lo]
-    return hat, float(np.trace(hat))
+    # the n - k + 1 interior rows all have offset h = k // 2: row j of the
+    # Toeplitz block holds table[h] at columns [j, j + k)
+    h = k // 2
+    rows = min(BLOCK_ROWS, n - k + 1)
+    kernel = np.concatenate([np.zeros(rows - 1), table[h], np.zeros(rows - 1)])
+    block = sliding_window_view(kernel, rows + k - 1)[::-1].copy()
+    # L's diagonal in row order: head offsets 0..h-1, interior h, tail h+1..k-1
+    diagonal = np.concatenate([table.diagonal()[:h], np.full(n - k, table[h, h]),
+                               table.diagonal()[h:]])
+    return table, block, float(diagonal.sum())
 
 
 def loess_smooth(series, cfg: SmootherConfig = SmootherConfig()) -> SmoothResult:
@@ -136,16 +153,28 @@ def loess_smooth(series, cfg: SmootherConfig = SmootherConfig()) -> SmoothResult
 def smooth_columns(values: np.ndarray, cfg: SmootherConfig) -> tuple[np.ndarray, np.ndarray, float]:
     """Smooth every column of an (n, p) array at once; returns (fitted, residuals, df).
 
-    The caller guarantees finite values, as a panel, `compute_maf`'s factors
-    or `unit_scale_columns` do.
+    L is applied without being built: head and tail rows as rows of the
+    (k, k) offset table, interior rows in blocks of at most BLOCK_ROWS
+    through the one cached (BLOCK_ROWS, BLOCK_ROWS + k - 1) Toeplitz block,
+    so memory is O(k^2 + BLOCK_ROWS * k) for any n. Each fitted value is its
+    row of L times the column; only the summation order can differ from a
+    dense `L @ values`. The caller guarantees finite values, as a panel,
+    `compute_maf`'s factors or `unit_scale_columns` do.
     """
-    hat, df = _hat_matrix(values.shape[0], cfg)
-    fitted = hat @ values
+    n = values.shape[0]
+    table, block, df = _hat_matrix(n, cfg)
+    k, h, rows = table.shape[0], table.shape[0] // 2, block.shape[0]
+    fitted = np.empty(values.shape)
+    fitted[:h] = table[:h] @ values[:k]
+    fitted[n - k + h + 1:] = table[h + 1:] @ values[n - k:]
+    for lo in range(0, n - k + 1, rows):
+        r = min(rows, n - k + 1 - lo)
+        fitted[h + lo:h + lo + r] = block[:r, :r + k - 1] @ values[lo:lo + r + k - 1]
     return fitted, values - fitted, df
 
 
 def snr_columns(values, cfg: SmootherConfig = SmootherConfig()) -> np.ndarray:
-    """Empirical SNR of every column of an (n, c) array, with one hat GEMM.
+    """Empirical SNR of every column of an (n, c) array, with one pass of L.
 
     Column j's SNR is SD(L y_j) / SD(y_j - L y_j), both population
     normalized; the resampling functions in `mafkit.inference` pass the

@@ -1,7 +1,10 @@
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mafkit import (
     DegenerateResidualError,
@@ -10,8 +13,9 @@ from mafkit import (
     empirical_snr,
     loess_smooth,
 )
+from mafkit import smoothing
 from mafkit.errors import InsufficientDataError
-from mafkit.smoothing import _hat_matrix, _one_slot_cache
+from mafkit.smoothing import _hat_matrix, _one_slot_cache, smooth_columns
 
 
 def brute_force_loess(y, span_fraction, degree):
@@ -168,21 +172,88 @@ class TestEmpiricalSnr:
             empirical_snr(np.full(150, value))
 
 
+def block_edge_lengths(span):
+    """Series lengths n whose n - k + 1 interior rows fill BLOCK_ROWS - 1 to
+    BLOCK_ROWS + 2 rows: one partial block, one full block, and one or two
+    rows past it."""
+    rows = smoothing.BLOCK_ROWS
+    found = {}
+    for n in range(4, 4 * rows):
+        interior = n - SmootherConfig(span_fraction=span).window_size(n) + 1
+        if rows - 1 <= interior <= rows + 2:
+            found.setdefault(interior, n)
+    return sorted(found.values())
+
+
 class TestHatMatrix:
     @pytest.mark.parametrize("degree", [0, 1, 2])
     @pytest.mark.parametrize("span", [0.1, 0.25, 0.4, 0.5, 1.0])
     def test_offset_table_matches_argsort_windows(self, span, degree):
+        # L rebuilt by applying the operator to the identity, bit for bit;
+        # 700 and 1000 at span 0.1 give several interior blocks and a
+        # partial last one
         cfg = SmootherConfig(span_fraction=span, degree=degree)
-        for n in [*range(4, 41), 61, 150, 151, 1000]:
+        for n in [*range(4, 41), 61, 150, 151, 700, 1000, *block_edge_lengths(span)]:
             try:
                 expected, expected_df = argsort_hat_matrix(n, span, degree)
             except InsufficientDataError:
                 with pytest.raises(InsufficientDataError):
                     _hat_matrix(n, cfg)
                 continue
-            hat, df = _hat_matrix(n, cfg)
+            hat, _, df = smooth_columns(np.eye(n), cfg)
             assert np.array_equal(hat, expected), (n, span, degree)
             assert df == expected_df, (n, span, degree)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 900), span=st.floats(0.02, 1.0), degree=st.integers(0, 2),
+           columns=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
+    def test_smooth_columns_matches_dense_hat(self, n, span, degree, columns, seed):
+        cfg = SmootherConfig(span_fraction=span, degree=degree)
+        values = np.random.default_rng(seed).standard_normal((n, columns))
+        values *= 10.0 ** np.linspace(-3, 3, columns)
+        try:
+            hat, expected_df = argsort_hat_matrix(n, span, degree)
+        except InsufficientDataError:
+            with pytest.raises(InsufficientDataError):
+                smooth_columns(values, cfg)
+            return
+        fitted, residuals, df = smooth_columns(values, cfg)
+        peaks = np.abs(values).max(axis=0)
+        assert np.all(np.abs(fitted - hat @ values) <= 1e-12 * peaks)
+        np.testing.assert_array_equal(residuals, values - fitted)
+        assert df == expected_df
+
+    def test_fitted_values_do_not_depend_on_block_rows(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        for n, span, degree in [(700, 0.1, 1), (301, 0.25, 2), (150, 0.4, 0), (40, 1.0, 1)]:
+            cfg = SmootherConfig(span_fraction=span, degree=degree)
+            values = rng.standard_normal((n, 5))
+            peaks = np.abs(values).max(axis=0)
+            _hat_matrix.cache_clear()
+            default = smooth_columns(values, cfg)
+            for rows in (1, 7):
+                monkeypatch.setattr(smoothing, "BLOCK_ROWS", rows)
+                _hat_matrix.cache_clear()
+                fitted, _, df = smooth_columns(values, cfg)
+                assert np.all(np.abs(fitted - default[0]) <= 1e-12 * peaks), (n, rows)
+                assert df == default[2]
+            monkeypatch.undo()
+        _hat_matrix.cache_clear()
+
+    def test_operator_memory_is_far_below_a_dense_hat(self):
+        # a dense L at n = 3000 is 72 MB; the offset table and one Toeplitz
+        # block are about 13 MB at the default span
+        n = 3000
+        values = np.random.default_rng(12).standard_normal((n, 8))
+        _hat_matrix.cache_clear()
+        tracemalloc.start()
+        try:
+            smooth_columns(values, SmootherConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            _hat_matrix.cache_clear()
+        assert peak < 0.4 * 8 * n * n, peak
 
     @pytest.mark.parametrize("degree, interpolating, smallest",
                              [(0, (2, 3), 4), (1, (3,), 4), (2, (4, 5), 6)])
@@ -196,7 +267,7 @@ class TestHatMatrix:
                 with pytest.raises(InsufficientDataError):
                     _hat_matrix(n, cfg)
             else:
-                _, df = _hat_matrix(n, cfg)
+                *_, df = _hat_matrix(n, cfg)
                 assert df < 0.6 * n
 
     def test_one_hat_kept(self):
