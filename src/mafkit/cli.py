@@ -28,6 +28,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -88,6 +89,7 @@ def ingest_csv(path, standardize: bool = False) -> TimeSeriesPanel:
                 f"row {file_row} has {len(row)} cells, expected {len(header)}",
                 row=file_row,
             )
+        floats = []
         for j, cell in enumerate(row):
             try:
                 # `float` alone also reads PEP 515 underscores ("1_5") and
@@ -100,12 +102,13 @@ def ingest_csv(path, standardize: bool = False) -> TimeSeriesPanel:
                     f"row {file_row}, column {header[j]!r}: {cell!r} is not a number",
                     row=file_row, column=j + 1,
                 ) from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise CsvParseError(
                     f"row {file_row}, column {header[j]!r}: non-finite value {cell!r}",
                     row=file_row, column=j + 1,
                 )
-            parsed[i, j] = value
+            floats.append(value)
+        parsed[i] = floats
 
     time = parsed[:, 0] if has_time else None
     values = parsed[:, 1:] if has_time else parsed

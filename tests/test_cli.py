@@ -92,6 +92,28 @@ class TestIngestCsv:
             ingest_csv(path)
         assert (exc.value.row, exc.value.column) == (3, 2)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_cell_located(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,b\n1.0,2.0\n3.0,{cell}\n4.0,5.0\n")
+        with pytest.raises(CsvParseError) as exc:
+            ingest_csv(path)
+        assert str(exc.value) == f"row 3, column 'b': non-finite value {cell!r}"
+        assert (exc.value.row, exc.value.column) == (3, 2)
+
+    @pytest.mark.parametrize("text, message, location", [
+        ("a,b\n1.0,2.0\nnan,x\n4.0,5.0\n", "non-finite value 'nan'", (3, 1)),
+        ("a,b\n1.0,inf\nx,2.0\n4.0,5.0\n", "non-finite value 'inf'", (2, 2)),
+        ("a,b\n1.0,2.0\nx,nan\n4.0,5.0\n", "'x' is not a number", (3, 1)),
+    ])
+    def test_first_bad_cell_in_reading_order_is_reported(self, tmp_path, text, message,
+                                                         location):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(CsvParseError, match=message) as exc:
+            ingest_csv(path)
+        assert (exc.value.row, exc.value.column) == location
+
     def test_ascii_decimal_spellings_are_read(self, tmp_path):
         path = tmp_path / "ok.csv"
         path.write_text("a,b\n1e5,-.5\n+3.,2.5E-3\n 7 ,-0\n")

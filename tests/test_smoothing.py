@@ -38,31 +38,69 @@ def brute_force_loess(y, span_fraction, degree):
     return fitted
 
 
-def argsort_hat_matrix(n, span_fraction, degree):
-    """Reference L: each row's window found by a stable argsort of distances."""
-    cfg = SmootherConfig(span_fraction=span_fraction, degree=degree)
+def argsort_windows(n, k):
+    """Row i's window, found by a stable argsort of distances: its k nearest
+    rows, ties broken toward the lower index, in increasing order."""
+    t = np.arange(n)
+    dist = np.abs(t[None, :] - t[:, None])
+    return np.sort(np.argsort(dist, axis=1, kind="stable")[:, :k], axis=1)
+
+
+def check_window(n, cfg):
     k = cfg.window_size(n)
     # tricube weights are zero at the far end of a window and at both ends
     # of a centred odd one, so fewer than degree + 2 points carry weight
-    if k - 1 - k % 2 < degree + 2:
+    if k - 1 - k % 2 < cfg.degree + 2:
         raise InsufficientDataError(
-            f"window of {k} points cannot support a degree-{degree} local fit; "
+            f"window of {k} points cannot support a degree-{cfg.degree} local fit; "
             f"increase span_fraction or series length"
         )
-    t = np.arange(n, dtype=float)
+    return k
+
+
+def reference_hat_matrix(n, span_fraction, degree):
+    """Dense reference L: windows by `argsort_windows`, weights by a batched
+    SVD least-squares fit (`pinv`) of the sqrt(w)-weighted design in offsets
+    centred on each row and scaled by its window radius. That design's
+    condition number is the square root of the normal equations' one, so
+    this is at least as accurate as the kernel."""
+    k = check_window(n, SmootherConfig(span_fraction=span_fraction, degree=degree))
+    rows = np.arange(n)[:, None]
+    windows = argsort_windows(n, k)
+    x = (windows - rows).astype(float)
+    x /= np.abs(x).max(axis=1, keepdims=True)
+    sw = np.sqrt(np.clip(1.0 - np.abs(x) ** 3, 0.0, 1.0) ** 3)
+    design = sw[..., None] * np.vander(x.ravel(), degree + 1, increasing=True).reshape(n, k, -1)
     hat = np.zeros((n, n))
-    for i in range(n):
-        dist = np.abs(t - t[i])
-        # k nearest neighbors; stable sort breaks distance ties toward lower index
-        window = np.sort(np.argsort(dist, kind="stable")[:k])
-        d = dist[window]
-        h = d.max()
-        w = np.clip(1.0 - (d / h) ** 3, 0.0, 1.0) ** 3
-        x = np.vander(t[window] - t[i], N=degree + 1, increasing=True)
-        xtw = x.T * w
-        # local fit evaluated at t[i] is the intercept coefficient
-        hat[i, window] = (np.linalg.pinv(xtw @ x) @ xtw)[0]
+    # local fit evaluated at the row's own point is the intercept coefficient
+    hat[rows, windows] = np.linalg.pinv(design)[:, 0] * sw
     return hat, float(np.trace(hat))
+
+
+def exact_offset_row(k, offset, degree):
+    """Row `offset` of the (k, k) offset table in exact integer arithmetic,
+    rounded once to floats: the tricube weights (1 - |x/r|^3)^3 times r^9
+    are the integers (r^3 - |x|^3)^3, and the intercept of the weighted fit
+    in x = j - offset is Cramer's rule on the integer normal equations."""
+    r = max(offset, k - 1 - offset)
+    xs = [j - offset for j in range(k)]
+    weights = [(r ** 3 - abs(x) ** 3) ** 3 for x in xs]
+    moments = [sum(w * x ** a for w, x in zip(weights, xs)) for a in range(2 * degree + 1)]
+    normal = [[moments[a + b] for b in range(degree + 1)] for a in range(degree + 1)]
+
+    def det(m):
+        if len(m) == 1:
+            return m[0][0]
+        return sum((-1) ** c * m[0][c] * det([row[:c] + row[c + 1:] for row in m[1:]])
+                   for c in range(len(m)))
+
+    # coefficient a solves the normal equations for e_0: column a replaced by it
+    numerators = [det([[int(i == 0) if c == a else normal[i][c] for c in range(degree + 1)]
+                       for i in range(degree + 1)]) for a in range(degree + 1)]
+    denominator = det(normal)
+    # int / int is correctly rounded
+    return np.array([w * sum(c * x ** a for a, c in enumerate(numerators)) / denominator
+                     for w, x in zip(weights, xs)])
 
 
 class TestLoessSmooth:
@@ -185,24 +223,57 @@ def block_edge_lengths(span):
     return sorted(found.values())
 
 
+def operator_lengths(span):
+    """Every n from 4 to 40, some odd and even ones, and the block edges."""
+    return [*range(4, 41), 61, 150, 151, 700, 1000, *block_edge_lengths(span)]
+
+
 class TestHatMatrix:
     @pytest.mark.parametrize("degree", [0, 1, 2])
     @pytest.mark.parametrize("span", [0.1, 0.25, 0.4, 0.5, 1.0])
     def test_offset_table_matches_argsort_windows(self, span, degree):
-        # L rebuilt by applying the operator to the identity, bit for bit;
-        # 700 and 1000 at span 0.1 give several interior blocks and a
-        # partial last one
+        # L rebuilt by applying the operator to the identity holds, bit for
+        # bit, row i's offset-table row on the argsort window, in its order,
+        # and zeros elsewhere; 700 and 1000 at span 0.1 give several
+        # interior blocks and a partial last one
         cfg = SmootherConfig(span_fraction=span, degree=degree)
-        for n in [*range(4, 41), 61, 150, 151, 700, 1000, *block_edge_lengths(span)]:
+        for n in operator_lengths(span):
             try:
-                expected, expected_df = argsort_hat_matrix(n, span, degree)
+                windows = argsort_windows(n, check_window(n, cfg))
             except InsufficientDataError:
                 with pytest.raises(InsufficientDataError):
                     _hat_matrix(n, cfg)
                 continue
             hat, _, df = smooth_columns(np.eye(n), cfg)
+            table = _hat_matrix(n, cfg)[0]
+            expected = np.zeros((n, n))
+            rows = np.arange(n)
+            expected[rows[:, None], windows] = table[rows - windows[:, 0]]
             assert np.array_equal(hat, expected), (n, span, degree)
-            assert df == expected_df, (n, span, degree)
+            # df is the sum of L's diagonal in row order
+            assert df == np.trace(hat), (n, span, degree)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    @pytest.mark.parametrize("span", [0.1, 0.25, 0.4, 0.5, 1.0])
+    def test_operator_is_centro_symmetric(self, span, degree):
+        # as the exact L is: row n - 1 - i's window and weights are row
+        # i's, mirrored
+        cfg = SmootherConfig(span_fraction=span, degree=degree)
+        for n in operator_lengths(span):
+            try:
+                hat = smooth_columns(np.eye(n), cfg)[0]
+            except InsufficientDataError:
+                continue
+            assert np.array_equal(hat, hat[::-1, ::-1]), (n, span, degree)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    @pytest.mark.parametrize("k", [60, 601, 1202])
+    def test_table_rows_match_exact_rational_fits(self, k, degree):
+        table = _hat_matrix(k, SmootherConfig(span_fraction=1.0, degree=degree))[0]
+        for offset in (0, 1, k // 4, k // 2, k - 1):
+            exact = exact_offset_row(k, offset, degree)
+            error = np.abs(table[offset] - exact).max()
+            assert error <= 1e-14 * np.abs(exact).max(), (offset, error)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(4, 900), span=st.floats(0.02, 1.0), degree=st.integers(0, 2),
@@ -212,16 +283,34 @@ class TestHatMatrix:
         values = np.random.default_rng(seed).standard_normal((n, columns))
         values *= 10.0 ** np.linspace(-3, 3, columns)
         try:
-            hat, expected_df = argsort_hat_matrix(n, span, degree)
+            hat, expected_df = reference_hat_matrix(n, span, degree)
         except InsufficientDataError:
             with pytest.raises(InsufficientDataError):
                 smooth_columns(values, cfg)
             return
         fitted, residuals, df = smooth_columns(values, cfg)
+        # both operators' rows are within about 1e-14 of the exact ones,
+        # relative to row peaks of at most 1, and a row's absolute sum is a
+        # few units: so a fitted value is within 1e-13 of its column's peak
+        # (1e-14 is seen), and df, a sum of n diagonal entries, within
+        # n * 1e-14
         peaks = np.abs(values).max(axis=0)
-        assert np.all(np.abs(fitted - hat @ values) <= 1e-12 * peaks)
+        assert np.all(np.abs(fitted - hat @ values) <= 1e-13 * peaks)
         np.testing.assert_array_equal(residuals, values - fitted)
-        assert df == expected_df
+        assert abs(df - expected_df) <= n * 1e-14
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 900), span=st.floats(0.02, 1.0), degree=st.integers(0, 2))
+    def test_rows_reproduce_polynomials_up_to_degree(self, n, span, degree):
+        # a local fit of degree d reproduces a polynomial of degree <= d at
+        # its own point; on [0, 1] the error is rounding in the rows
+        cfg = SmootherConfig(span_fraction=span, degree=degree)
+        powers = np.vander(np.linspace(0.0, 1.0, n), degree + 1, increasing=True)
+        try:
+            fitted = smooth_columns(powers, cfg)[0]
+        except InsufficientDataError:
+            return
+        assert np.abs(fitted - powers).max() <= 1e-13
 
     def test_fitted_values_do_not_depend_on_block_rows(self, monkeypatch):
         rng = np.random.default_rng(11)
