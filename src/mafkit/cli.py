@@ -11,9 +11,12 @@ numpy kernel, `_float_cells`, formats every value with 1e-4 <= |x| < 1e16
 other value (0, -0, smaller or larger magnitudes) takes `'%.17g' % x`
 itself. Rows are formatted 16 384 cells at a time (one row at a time when
 a row is longer), so artifacts are the same, byte for byte, as a per-cell
-`%.17g` writer's. The chunks are streamed into a temp file beside the
-target, which is then renamed over it, so the target holds either its old
-content or the whole new file. Input cells are ASCII decimal reals only:
+`%.17g` writer's. The writer works in bytes only: every byte of a cell's
+fixed-width slot that its text does not use is set to 0xFF, which never
+occurs in UTF-8, and one `bytes.translate` per chunk deletes them. The
+chunks are streamed into a temp file beside the target, which is then
+renamed over it, so the target holds either its old content or the whole
+new file. Input cells are ASCII decimal reals only:
 `float` syntax without underscores or non-ASCII digits. Artifacts contain no
 timestamps, so reruns with the same arguments are byte-identical. `main`
 creates the output directory before a command runs; a path that cannot be
@@ -30,6 +33,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -118,13 +122,13 @@ def ingest_csv(path, standardize: bool = False) -> TimeSeriesPanel:
 
 
 def _atomic_write(path: Path, pieces) -> None:
-    # the pieces stream into a temp file beside `path`, which replaces
+    # the pieces, bytes, stream into a temp file beside `path`, which replaces
     # `path` only once every piece is written. mkstemp makes it 0600, so it
     # is first given the mode open() would give it: 0666 less the umask,
     # which can only be read by setting it
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.writelines(pieces)
         umask = os.umask(0o022)
         os.umask(umask)
@@ -136,9 +140,12 @@ def _atomic_write(path: Path, pieces) -> None:
         raise
 
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
 def _quote(cell: str) -> str:
     # RFC 4180 quoting, which `csv.reader` reads back unchanged
-    if any(c in cell for c in ',"\r\n'):
+    if _NEEDS_QUOTES.search(cell):
         return '"' + cell.replace('"', '""') + '"'
     return cell
 
@@ -150,11 +157,11 @@ def _quote(cell: str) -> str:
 # (with Veltkamp's split) gives |x| * 10**(16 - k) as p + err with no rounding
 # error, so D is exact. A cell is 40 bytes: "-0.000", the lead digit and "."
 # (one 8-byte word), then the other 16 digits as four words of "d.d.d.d.". A
-# mask chosen by (sign, k, digits left once trailing zeros go) keeps the
-# bytes of the text; the last byte holds the cell's separator. Every other
-# value (0, -0, |x| < 1e-4, |x| >= 1e16, non-finite, and the rare value whose
-# float log10 rounds up to the next power of ten) is formatted by `%.17g`
-# itself.
+# mask chosen by (sign, k, digits left once trailing zeros go) sets every
+# byte not in the text to 0xFF; the last byte holds the cell's separator.
+# Every other value (0, -0, |x| < 1e-4, |x| >= 1e16, non-finite, and the rare
+# value whose float log10 rounds up to the next power of ten) is formatted by
+# `%.17g` itself.
 _CELL_BYTES = 40
 _CHUNK_CELLS = 16_384  # cells formatted at a time, unless one row is longer
 
@@ -182,9 +189,10 @@ def _split(v):
 _POW10_HI, _POW10_LO = _split(_POW10)
 
 
-def _keep_table() -> np.ndarray:
-    # row (negative * 20 + k + 4) * 17 + kept - 1: the bytes of a cell that
-    # `%.17g` prints for that sign, exponent k in [-4, 15] and `kept` digits
+def _drop_table() -> np.ndarray:
+    # row (negative * 20 + k + 4) * 17 + kept - 1: five words that are 0xFF
+    # in the bytes of a cell that `%.17g` does not print for that sign,
+    # exponent k in [-4, 15] and `kept` digits, and 0 in those it prints
     keep = np.zeros((2, 20, 17, _CELL_BYTES), dtype=bool)
     keep[1, ..., 0] = True  # "-"
     keep[..., -1] = True  # separator
@@ -197,10 +205,10 @@ def _keep_table() -> np.ndarray:
             else:
                 row[:, 6:6 + 2 * max(k + 1, kept):2] = True  # integer digits, then fraction
                 row[:, 2 * k + 7] = kept > k + 1  # the point, if a fraction digit is left
-    return keep.reshape(-1, _CELL_BYTES)
+    return np.where(keep, 0, 0xFF).astype(np.uint8).reshape(-1, _CELL_BYTES).view(np.uint64)
 
 
-_KEEP = _keep_table()
+_DROP = _drop_table()
 
 
 def _significand(a: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -214,11 +222,12 @@ def _significand(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     return p.astype(np.int64) + np.rint(err).astype(np.int64)
 
 
-def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _float_cells(x: np.ndarray) -> np.ndarray:
     """Cells of `'%.17g' % v` for each v of the 1-D float array `x`.
 
-    Returns the (len(x), 40) cell bytes and the mask of those kept; the last
-    byte of every cell is kept, for the caller to set to a separator.
+    Returns the (len(x), 40) cell bytes, 0xFF where the text leaves a byte
+    unused; the last byte of every cell is left for the caller to set to a
+    separator.
     """
     a = np.abs(x)
     fast = (a >= 1e-4) & (a < 1e16)
@@ -244,43 +253,44 @@ def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         kept = np.where(group != 0, end - _GROUP_ZEROS[group], kept)
     layout = (np.signbit(x) * 20 + k + 4) * 17 + kept - 1
     layout[~fast] = 0
-    keep = np.take(_KEEP, layout, axis=0)
+    words |= np.take(_DROP, layout, axis=0)
     cells = words.view(np.uint8)
 
     slow = np.flatnonzero(~fast)
     if slow.size:
-        text = ["%.17g" % v for v in x[slow].tolist()]
-        cells[slow, :-1] = np.array(text, dtype=f"S{_CELL_BYTES - 1}").view(np.uint8).reshape(
-            slow.size, -1)
-        keep[slow, :-1] = np.arange(_CELL_BYTES - 1) < np.array([len(t) for t in text])[:, None]
-    return cells, keep
+        text = [b"%.17g" % v for v in x[slow].tolist()]
+        cells[slow, :-1] = _padded(text, _CELL_BYTES - 1)
+    return cells
 
 
-def _column_cells(column) -> tuple[np.ndarray, np.ndarray]:
-    # (rows, bytes) cells of one column block, each ending in ",", and the
-    # mask of the bytes kept
+def _padded(cells: list[bytes], width: int) -> np.ndarray:
+    # (len(cells), width) bytes of the cells, each padded with 0xFF
+    return np.frombuffer(b"".join(cell.ljust(width, b"\xff") for cell in cells),
+                         dtype=np.uint8).reshape(len(cells), width)
+
+
+def _column_cells(column) -> np.ndarray:
+    # (rows, bytes) cells of one column block, each ending in "," and padded
+    # with 0xFF
     if isinstance(column, list):
-        lengths = np.array([len(cell) for cell in column])
-        width = int(lengths.max()) + 1
-        cells = np.array(column, dtype=f"S{width}").view(np.uint8).reshape(len(column), width)
-        keep = np.arange(width) < lengths[:, None]
-        keep[:, -1] = True
+        cells = _padded(column, max(map(len, column)) + 1).copy()
     else:
-        cells, keep = _float_cells(column.ravel())
+        cells = _float_cells(column.ravel())
     cells[:, -1] = ord(",")
-    return cells.reshape(len(column), -1), keep.reshape(len(column), -1)
+    return cells.reshape(len(column), -1)
 
 
 def _csv_rows(blocks):
-    """The CSV text of the rows of column `blocks`, a chunk of rows at a time.
+    """The CSV bytes of the rows of column `blocks`, a chunk of rows at a time.
 
     A list of str is one column of quoted cells; a float array is one
     column if 1-D, or one column per array column if 2-D. Floats are
     written as `'%.17g' % x` writes them, which round-trips every finite
     double: `_float_cells` formats each value with 1e-4 <= |x| < 1e16, and
     any other goes through `%.17g` itself. A chunk is at most `_CHUNK_CELLS`
-    (16 384) cells, or one row when a row has more, and becomes text by one
-    mask compress.
+    (16 384) cells, or one row when a row has more, of fixed-width cells
+    padded with 0xFF, which never occurs in UTF-8; one `bytes.translate`
+    deletes the padding.
     """
     columns = []
     for block in blocks:
@@ -292,10 +302,9 @@ def _csv_rows(blocks):
     width = sum(1 if isinstance(column, list) else column.shape[1] for column in columns)
     step = max(1, _CHUNK_CELLS // width)
     for start in range(0, len(columns[0]), step):
-        cells, keep = zip(*(_column_cells(column[start:start + step]) for column in columns))
-        cells, keep = np.hstack(cells), np.hstack(keep)
+        cells = np.hstack([_column_cells(column[start:start + step]) for column in columns])
         cells[:, -1] = ord("\n")
-        yield np.compress(keep.ravel(), cells.ravel()).tobytes().decode()
+        yield cells.tobytes().translate(None, b"\xff")
 
 
 def _write_csv(path: Path, header: list[str], *blocks) -> None:
@@ -304,12 +313,12 @@ def _write_csv(path: Path, header: list[str], *blocks) -> None:
     The text is the same, byte for byte, as quoting each str cell and
     formatting each float with `'%.17g' % x`, one cell at a time.
     """
-    _atomic_write(path, itertools.chain([",".join(map(_quote, header)) + "\n"],
+    _atomic_write(path, itertools.chain([(",".join(map(_quote, header)) + "\n").encode()],
                                         _csv_rows(blocks)))
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+    _atomic_write(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -397,7 +406,7 @@ def _cmd_resample(args) -> None:
     _write_csv(out / "bands.csv", header, t, bands.transpose(1, 0, 2).reshape(panel.n, 4 * k))
 
     replicates = [str(b) for b in range(B)]
-    stamps = "".join(_csv_rows([t])).splitlines()
+    stamps = b"".join(_csv_rows([t])).decode().splitlines()
     for j in range(k):
         _write_csv(out / f"replicates_maf_{j + 1}.csv", ["replicate"] + stamps,
                    replicates, envelope.replicate_factors[j])

@@ -14,14 +14,21 @@ over arrays, and `_pcg64_state` writes out PCG64's seeding. Every
 replicate, redraws included, is drawn through one reused Generator set to
 its stream's state. Replicate panels are drawn one by one, each from its
 own stream, then decomposed together by `maf.maf_stack` in chunks of about
-CHUNK_BYTES of values, which keeps memory flat in B. The kernel returns all
-p factors of each panel, and each caller slices the ones its statistic
-uses. A singular replicate is redrawn from its own stream; more than 10% of
-B redraws is an error. The permutation null passes the driver its own
-decomposition (`_permutation_null`): a row permutation leaves the
-covariance unchanged, so the residuals go through `maf_stack` once, and each
-permuted panel of their MAF factors is decomposed from its lag-1 moments,
-with no covariance, whitening or redraw per replicate.
+CHUNK_BYTES of values, but of at least MIN_CHUNK_PANELS panels. The byte
+budget keeps memory flat in B. The floor keeps a long panel (3000 x 8 is
+192 KB) from paying the kernel's per-call overhead once per replicate; it
+costs holding that many panels and their copies at once, about 6 MB at
+3000 x 8, which grows with n but not with B. The kernel returns all p
+factors of each panel, and each caller slices the ones its statistic uses.
+A singular replicate is redrawn from its own stream; more than 10% of B
+redraws is an error. The bootstrap draws of `resample_maf` and of the
+presence test's bootstrap null come from one block sampler,
+`_block_bootstrap`, which gathers a chunk's circular blocks with one index.
+The permutation null passes `_replicates` its own decomposition
+(`_permutation_null`): a row permutation leaves the covariance unchanged,
+so the residuals go through `maf_stack` once, and each permuted panel of
+their MAF factors is decomposed from its lag-1 moments, with no covariance,
+whitening or redraw per replicate.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     InvalidConfigError,
@@ -63,8 +71,12 @@ __all__ = [
 
 # Replicate panels are decomposed CHUNK_BYTES of values at a time: enough
 # panels to amortize the per-call overhead of the batched kernel (26 at
-# 150 x 4), few enough that memory does not grow with B (1 at 3000 x 8).
+# 150 x 4), few enough that memory does not grow with B. A chunk holds at
+# least MIN_CHUNK_PANELS panels, so that long panels (3000 x 8, of which
+# CHUNK_BYTES holds less than one) still share the kernel's calls; memory
+# then grows with n, not with B.
 CHUNK_BYTES = 128_000
+MIN_CHUNK_PANELS = 4
 
 # Constants of numpy's SeedSequence hash-mix (NEP 19) and of PCG64's LCG
 # (O'Neill 2014); numpy keeps both algorithms stable by policy.
@@ -128,15 +140,16 @@ def _replicates(seed: int, keys: range, n: int, p: int, draw, decompose=None):
     drawn through one reused Generator. `draw(rngs)` stacks one panel per
     generator from a lazy iterator, which sets the next replicate's state
     only when asked for it, so each replicate's draws finish first. Each
-    chunk of at most CHUNK_BYTES of values goes through one `decompose`
-    call, `maf_stack(panels, allow_singular=True)` by default; any other
-    returns a MafStack of the same fields. A singular replicate is redrawn
-    alone from its own stream, on the same Generator: its first draw is
-    replayed and discarded, and each next draw's one-panel `decompose` is
-    patched into the chunk until it is not singular; more than 10% of B
-    redraws in all raises SingularMatrixError. Yields (start, stop,
-    panels, MafStack, redraws so far), where `panels[i]` is the panel that
-    the MafStack's row i decomposes: a redrawn replicate's last draw.
+    chunk of at most CHUNK_BYTES of values, or of MIN_CHUNK_PANELS panels
+    when fewer fit (about 770 KB of values at 3000 x 8), goes through one
+    `decompose` call, `maf_stack(panels, allow_singular=True)` by default;
+    any other returns a MafStack of the same fields. A singular replicate
+    is redrawn alone from its own stream, on the same Generator: its first
+    draw is replayed and discarded, and each next draw's one-panel
+    `decompose` is patched into the chunk until it is not singular; more
+    than 10% of B redraws in all raises SingularMatrixError. Yields (start,
+    stop, panels, MafStack, redraws so far), where `panels[i]` is the panel
+    that the MafStack's row i decomposes: a redrawn replicate's last draw.
     """
     if decompose is None:
         decompose = partial(maf_stack, allow_singular=True)
@@ -156,7 +169,7 @@ def _replicates(seed: int, keys: range, n: int, p: int, draw, decompose=None):
             bitgen.state = _pcg64_state(*row)
             yield rng
 
-    size = max(1, CHUNK_BYTES // (8 * n * p))
+    size = max(MIN_CHUNK_PANELS, CHUNK_BYTES // (8 * n * p))
     budget = max(1, math.ceil(0.1 * B))
     redraws = 0
     for start in range(0, B, size):
@@ -235,18 +248,28 @@ def _permutation_null(residuals: np.ndarray):
     return draw, decompose
 
 
-def _resample_indices(rng: np.random.Generator, n: int, block_len: int) -> np.ndarray:
-    """Row indices for one circular-block bootstrap replicate.
+def _block_bootstrap(residuals: np.ndarray, block_len: int):
+    """`draw` for `_replicates`: circular-block bootstrap panels of the
+    (n, p) residual rows.
 
-    ceil(n / block_len) block starts are drawn uniformly from the n rows;
-    each block is block_len consecutive rows, wrapping at the end, and the
-    blocks are cut to n rows. With block_len == 1 this is the iid bootstrap:
-    the one draw is `rng.integers(0, n, size=n)` (Politis & Romano 1992).
+    Each replicate draws ceil(n / block_len) block starts uniformly from
+    the n rows, `rng.integers(0, n, size=ceil(n / block_len))`; each block
+    is block_len consecutive rows, wrapping at the end, and the blocks are
+    cut to n rows. With block_len == 1 this is the iid bootstrap
+    (Politis & Romano 1992). The blocks are a view of the residuals
+    extended by their first block_len - 1 rows, so one index gathers the
+    rows of a whole chunk.
     """
-    n_blocks = math.ceil(n / block_len)
-    starts = rng.integers(0, n, size=n_blocks)
-    idx = (starts[:, None] + np.arange(block_len)[None, :]) % n
-    return idx.ravel()[:n]
+    n = len(residuals)
+    n_blocks = -(-n // block_len)
+    extended = np.concatenate([residuals, residuals[:block_len - 1]])
+    blocks = np.swapaxes(sliding_window_view(extended, block_len, axis=0), 1, 2)
+
+    def draw(rngs):
+        starts = np.stack([rng.integers(0, n, size=n_blocks) for rng in rngs])
+        return blocks[starts].reshape(len(starts), n_blocks * block_len, -1)[:, :n]
+
+    return draw
 
 
 @dataclass(frozen=True)
@@ -276,12 +299,16 @@ def resample_maf(panel, B: int, block_len: int = 1,
     """Residual-resampling uncertainty bands for the MAF factors.
 
     Each series is smoothed; residual rows are resampled jointly across
-    series in circular blocks of block_len rows (`_resample_indices`; blocks
-    of one are the iid bootstrap) and added back onto the smooths; MAF is
-    recomputed on every rebuilt panel. Replicate factors are sign-aligned
-    to the original factors and replicate coefficient columns are
-    unit-normalized. A replicate whose covariance degenerates is redrawn
-    from its own stream (see `_replicates`); `retries` counts the redraws.
+    series in circular blocks of block_len rows (`_block_bootstrap`, the
+    one block sampler; blocks of one are the iid bootstrap) and added back
+    onto the smooths, one chunk of replicates at a time; MAF is recomputed
+    on every rebuilt panel. Replicate factors are sign-aligned to the
+    original factors and replicate coefficient columns are unit-normalized.
+    A replicate whose covariance degenerates is redrawn from its own stream
+    (see `_replicates`); `retries` counts the redraws. The bands are
+    quantiles of the sorted replicates: the same order statistics and
+    interpolation as of the unsorted ones, without numpy's partition at
+    several positions.
     """
     panel = as_panel(panel)
     n, p = panel.n, panel.p
@@ -303,9 +330,10 @@ def resample_maf(panel, B: int, block_len: int = 1,
     rep_factors = np.empty((n_factors, B, n))
     rep_coefs = np.empty((n_factors, B, p))
 
+    rows = _block_bootstrap(residuals, block_len)
+
     def draw(rngs):
-        return np.stack([fitted + residuals[_resample_indices(rng, n, block_len)]
-                         for rng in rngs])
+        return np.add(fitted, rows(rngs))
 
     for start, stop, _, reps, retries in _replicates(seed, range(B), n, p, draw):
         factors = reps.factors[..., :n_factors]
@@ -322,7 +350,8 @@ def resample_maf(panel, B: int, block_len: int = 1,
         rep_factors[:, start:stop] = (factors * flips).transpose(2, 0, 1)
         rep_coefs[:, start:stop] = coefs.transpose(2, 0, 1)
 
-    bands = np.quantile(rep_factors, [alpha / 2.0, 1.0 - alpha / 2.0], axis=1)
+    bands = np.quantile(np.sort(rep_factors, axis=1), [alpha / 2.0, 1.0 - alpha / 2.0],
+                        axis=1, overwrite_input=True)
     return ResamplingEnvelope(
         replicate_factors=rep_factors,
         replicate_coefficients=rep_coefs,
@@ -371,13 +400,13 @@ def signal_presence_test(panel, B: int, cfg: SmootherConfig = SmootherConfig(),
 
     `mode` is "permutation" (rows shuffled without replacement; requires
     block_len == 1) or "bootstrap" (circular blocks of block_len rows drawn
-    with replacement, `_resample_indices`). The default picks permutation
-    for block_len == 1 and bootstrap otherwise. Permuted panels all share
-    the residuals' covariance, so the residuals are decomposed once, and
-    each null panel is decomposed from its lag-1 moments in their MAF
-    coordinates (`_permutation_null`); a singular residual covariance
-    raises SingularMatrixError. Singular bootstrap panels are redrawn
-    (`_replicates`).
+    with replacement by `_block_bootstrap`, the sampler of `resample_maf`).
+    The default picks permutation for block_len == 1 and bootstrap
+    otherwise. Permuted panels all share the residuals' covariance, so the
+    residuals are decomposed once, and each null panel is decomposed from
+    its lag-1 moments in their MAF coordinates (`_permutation_null`); a
+    singular residual covariance raises SingularMatrixError. Singular
+    bootstrap panels are redrawn (`_replicates`).
     """
     panel = as_panel(panel)
     n, p = panel.n, panel.p
@@ -404,9 +433,7 @@ def signal_presence_test(panel, B: int, cfg: SmootherConfig = SmootherConfig(),
     if mode == "permutation":
         draw, decompose = _permutation_null(residuals)
     else:
-        def draw(rngs):
-            return residuals[np.stack([_resample_indices(rng, n, block_len) for rng in rngs])]
-        decompose = None
+        draw, decompose = _block_bootstrap(residuals, block_len), None
 
     null_draws = np.empty((k, B))
     for start, stop, _, reps, _ in _replicates(seed, range(B), n, p, draw, decompose):

@@ -1,5 +1,7 @@
 """Shared helpers for the mafkit test suite."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import Phase, settings
@@ -28,6 +30,21 @@ def random_invertible(rng, p, max_cond=1e3):
         a = rng.standard_normal((p, p))
         if np.linalg.cond(a) < max_cond:
             return a
+
+
+def resample_indices(rng: np.random.Generator, n: int, block_len: int) -> np.ndarray:
+    """Row indices for one circular-block bootstrap replicate: the reference
+    that `inference._block_bootstrap` gathers a chunk's rows by.
+
+    ceil(n / block_len) block starts are drawn uniformly from the n rows;
+    each block is block_len consecutive rows, wrapping at the end, and the
+    blocks are cut to n rows. With block_len == 1 this is the iid bootstrap:
+    the one draw is `rng.integers(0, n, size=n)` (Politis & Romano 1992).
+    """
+    n_blocks = math.ceil(n / block_len)
+    starts = rng.integers(0, n, size=n_blocks)
+    idx = (starts[:, None] + np.arange(block_len)[None, :]) % n
+    return idx.ravel()[:n]
 
 
 def golden_max(fun, lo, hi, tol=1e-10):

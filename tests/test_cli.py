@@ -510,8 +510,8 @@ def test_write_then_ingest_round_trips(tmp_path_factory, data):
     np.testing.assert_array_equal(panel.values, values)
 
 
-# The per-cell writer that `_write_csv` replaced, kept verbatim as its
-# reference (`_atomic_write` takes any iterable of text, and a str is one)
+# The per-cell writer that `_write_csv` replaced, kept as its reference;
+# `_atomic_write` takes any iterable of bytes, here one piece
 def _fmt(x) -> str:
     return format(float(x), ".17g")
 
@@ -520,7 +520,7 @@ def reference_write_csv(path: Path, header: list[str], rows) -> None:
     lines = [",".join(map(_quote, header))]
     for row in rows:
         lines.append(",".join(_quote(cell) if isinstance(cell, str) else _fmt(cell) for cell in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, [("\n".join(lines) + "\n").encode()])
 
 
 FINITE = st.one_of(
@@ -560,6 +560,24 @@ def test_block_writer_matches_per_cell_writer(tmp_path_factory, data):
     _write_csv(out / "blocks.csv", header, *blocks)
     reference_write_csv(out / "cells.csv", header, rows)
     assert (out / "blocks.csv").read_bytes() == (out / "cells.csv").read_bytes()
+
+
+def test_str_cells_round_trip_through_the_0xff_padding(tmp_path):
+    # str cells are padded with 0xFF, which `bytes.translate` deletes: cells
+    # that need quoting, multi-byte UTF-8 and empty cells, beside floats,
+    # are written as the per-cell writer writes them and read back unchanged
+    labels = ['a,b', 'say "hi"', "two\r\nlines", "", "é€ÿ", "ÿ߿\U0001f600", "x"]
+    values = np.arange(len(labels), dtype=float) / 3.0
+    header = ["", "ÿ,", "v"]
+    _write_csv(tmp_path / "blocks.csv", header, labels, [""] * len(labels), values)
+    reference_write_csv(tmp_path / "cells.csv", header,
+                        [[label, "", value] for label, value in zip(labels, values)])
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+    with open(tmp_path / "blocks.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == header
+    assert [row[:2] for row in rows[1:]] == [[label, ""] for label in labels]
+    assert [float(row[2]) for row in rows[1:]] == values.tolist()
 
 
 @pytest.mark.parametrize("chunk_cells", [1, 7, 64])
@@ -650,7 +668,7 @@ FLOAT_SWEEP_SHA256 = "77628c82bfa9123ec473eacfdaa40e247bb16e0ec6363519b801343ba9
 def test_float_kernel_writes_what_percent_17g_writes():
     x = float_sweep()
     assert x.size >= 10**6
-    text = "".join(_csv_rows([x]))
+    text = b"".join(_csv_rows([x])).decode()
     if hashlib.sha256(text.encode()).hexdigest() == FLOAT_SWEEP_SHA256:
         return
     # another digest: either the kernel is wrong or this numpy draws another
@@ -666,7 +684,7 @@ def test_atomic_write_keeps_the_old_file_when_a_piece_fails(tmp_path):
     target.write_text("old\n")
 
     def pieces():
-        yield "new,"
+        yield b"new,"
         raise RuntimeError("row formatting failed")
 
     with pytest.raises(RuntimeError, match="row formatting failed"):

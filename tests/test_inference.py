@@ -15,7 +15,8 @@ from mafkit import (
     select_num_factors,
     signal_presence_test,
 )
-from mafkit.inference import _resample_indices
+
+from conftest import resample_indices
 
 
 def smooth_signal(n=150, seed=3):
@@ -99,7 +100,7 @@ class TestResampleMaf:
         base_var = residuals.var()
         ratios = []
         for b in range(300):
-            idx = _resample_indices(np.random.default_rng(b), 200, 5)
+            idx = resample_indices(np.random.default_rng(b), 200, 5)
             ratios.append(residuals[idx].var() / base_var)
         assert abs(np.mean(ratios) - 1.0) < 0.05
 

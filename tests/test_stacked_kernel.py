@@ -50,7 +50,6 @@ from mafkit import inference
 from mafkit import maf as maf_module
 from mafkit.cli import ingest_csv, main
 from mafkit.datasets import example_panel_path
-from mafkit.inference import _resample_indices
 from mafkit.linalg import (
     _check_symmetric,
     covariance_stack,
@@ -64,18 +63,21 @@ from mafkit.panel import as_panel
 from mafkit.simulate import gen_sn_stack, noise_cholesky
 from mafkit.smoothing import snr_columns
 
-from conftest import random_invertible
+from conftest import random_invertible, resample_indices
 
 TOL = 1e-12
 
-# 1 replicate per chunk; 7 at 150 x 4 (9 at 150 x 3), which divides none of
-# the B used here; the default (26 at 150 x 4); everything in one chunk.
+# 1 replicate per chunk (with the panel floor lowered to 1); 7 at 150 x 4 (9
+# at 150 x 3), which divides none of the B used here; the default (26 at
+# 150 x 4); everything in one chunk.
 CHUNK_BYTES = [1, 8 * 150 * 4 * 7, inference.CHUNK_BYTES, 10**9]
 
 
 @pytest.fixture(params=CHUNK_BYTES, ids=["chunk1", "chunk7", "default", "one-chunk"])
 def chunk_bytes(request, monkeypatch):
     monkeypatch.setattr(inference, "CHUNK_BYTES", request.param)
+    if request.param == 1:
+        monkeypatch.setattr(inference, "MIN_CHUNK_PANELS", 1)
     return request.param
 
 
@@ -170,7 +172,7 @@ def loop_presence(panel, B, cfg=SmootherConfig(), mode="permutation", block_len=
     def draw(rng):
         if mode == "permutation":
             return inflated[rng.permutation(n)]
-        return inflated[_resample_indices(rng, n, block_len)]
+        return inflated[resample_indices(rng, n, block_len)]
 
     null = np.empty((k, B))
     redraws = 0
@@ -254,7 +256,7 @@ def loop_resample(panel, B, block_len=1, cfg=SmootherConfig(), n_factors=1, seed
     rep_coefs = np.empty((n_factors, B, p))
 
     def draw(rng):
-        return fitted + residuals[_resample_indices(rng, n, block_len)]
+        return fitted + residuals[resample_indices(rng, n, block_len)]
 
     retries = 0
     for b, child in enumerate(spawn(seed, B)):
@@ -681,7 +683,7 @@ class TestPresence:
     def test_singular_replicates_redrawn_from_own_stream(self, unsmoothed, chunk_bytes):
         panel = sparse_panel()
         # replicate 0 is fine; later draws that miss every spike row are redrawn
-        draws = [_resample_indices(np.random.default_rng(c), 30, 1) for c in spawn(3, 99)]
+        draws = [resample_indices(np.random.default_rng(c), 30, 1) for c in spawn(3, 99)]
         misses = [not np.isin([3, 11, 20], idx).any() for idx in draws]
         assert not misses[0] and any(misses)
         report = signal_presence_test(panel, B=99, mode="bootstrap", seed=3)
@@ -782,6 +784,46 @@ class TestResample:
         with pytest.raises(SingularMatrixError, match="10%"):
             resample_maf(panel, B=40, seed=1)
 
+    @pytest.mark.parametrize("block_len", [1, 7, 20, 151])
+    def test_block_gather_matches_resample_indices(self, block_len):
+        # n = 151 is divisible by none of 7 and 20, so the last block is cut;
+        # the gathered rows are the reference's rows bit for bit, and each
+        # stream is left where the reference's draw leaves it
+        residuals = np.random.default_rng(5).standard_normal((151, 3))
+        draw = inference._block_bootstrap(residuals, block_len)
+        rngs = [np.random.default_rng(s) for s in range(6)]
+        got = draw(iter(rngs))
+        references = [np.random.default_rng(s) for s in range(6)]
+        expected = np.stack([residuals[resample_indices(rng, 151, block_len)]
+                             for rng in references])
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        assert [rng.bit_generator.state for rng in rngs] == [
+            rng.bit_generator.state for rng in references]
+
+    def test_long_panel_envelopes_do_not_depend_on_the_panel_floor(self, monkeypatch):
+        # at 3005 x 8 a panel is more than CHUNK_BYTES, so the floor alone
+        # sets the chunks: 1 panel each, or 4, 4 and 1
+        rng = np.random.default_rng(9)
+        panel = np.cumsum(rng.standard_normal((3005, 8)), axis=0) + rng.standard_normal((3005, 8))
+        assert inference.CHUNK_BYTES < 8 * 3005 * 8
+        envelopes = []
+        for floor in (1, 4):
+            monkeypatch.setattr(inference, "MIN_CHUNK_PANELS", floor)
+            envelopes.append(resample_maf(panel, B=9, block_len=7, n_factors=3, seed=5))
+        for name in ("replicate_factors", "replicate_coefficients", "pointwise_bands",
+                     "original_smoothed", "original_factors"):
+            a, b = (getattr(env, name) for env in envelopes)
+            assert a.tobytes() == b.tobytes(), name
+        assert envelopes[0].retries == envelopes[1].retries == 0
+
+    @pytest.mark.parametrize("B, alpha", [(10, 0.05), (45, 0.1), (199, 0.05), (200, 0.37)])
+    def test_bands_are_the_quantiles_of_the_replicates(self, example, B, alpha):
+        # the bands are taken from the sorted replicates; the values are
+        # np.quantile's of the unsorted ones, bit for bit
+        env = resample_maf(example, B=B, block_len=3, n_factors=2, seed=B, alpha=alpha)
+        expected = np.quantile(env.replicate_factors, [alpha / 2.0, 1.0 - alpha / 2.0], axis=1)
+        assert env.pointwise_bands.tobytes() == np.moveaxis(expected, 0, -1).tobytes()
+
 
 EXPERIMENT_GRIDS = {
     # 9 panels per chunk at chunk7, so a cell's 20 reps span three chunks
@@ -813,7 +855,7 @@ class TestExperiment:
                         st.integers(min_value=0, max_value=2**32 - 1))))
 def test_resample_indices_in_range(args):
     n, block_len, seed = args
-    idx = _resample_indices(np.random.default_rng(seed), n, block_len)
+    idx = resample_indices(np.random.default_rng(seed), n, block_len)
     assert idx.shape == (n,)
     assert idx.min() >= 0 and idx.max() < n
 
@@ -828,7 +870,7 @@ def test_blocks_of_one_are_the_iid_bootstrap(n, seed, skip):
     rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
     for gen in (rng, reference):
         gen.integers(0, n, size=skip)
-    np.testing.assert_array_equal(_resample_indices(rng, n, 1),
+    np.testing.assert_array_equal(resample_indices(rng, n, 1),
                                   reference.integers(0, n, size=n))
     assert rng.bit_generator.state == reference.bit_generator.state
 
