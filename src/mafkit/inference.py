@@ -13,13 +13,22 @@ seed once, `_stream_words` mixes each replicate's spawn key into that pool
 over arrays, and `_pcg64_state` writes out PCG64's seeding. Every
 replicate, redraws included, is drawn through one reused Generator set to
 its stream's state. Replicate panels are drawn one by one, each from its
-own stream, then decomposed together by `maf.maf_stack` in chunks of about
-CHUNK_BYTES of values, but of at least MIN_CHUNK_PANELS panels. The byte
-budget keeps memory flat in B. The floor keeps a long panel (3000 x 8 is
-192 KB) from paying the kernel's per-call overhead once per replicate; it
-costs holding that many panels and their copies at once, about 6 MB at
-3000 x 8, which grows with n but not with B. The kernel returns all p
-factors of each panel, and each caller slices the ones its statistic uses.
+own stream, then decomposed together by `maf.maf_stack` in chunks of
+CHUNK_BYTES // (8 n width) panels, but of at least MIN_CHUNK_PANELS, where
+width is the number of columns per replicate that the caller's statistic
+smooths: k factors for the presence test, one for `power_curve`'s SNR, and
+p where the statistic smooths nothing (the autocorrelation, `resample_maf`'s
+aligned factors, the comparison experiment), so that a chunk is sized by
+its panels. The SNR stage holds a chunk's largest arrays, n x (panels *
+width) doubles, several at once; sized so, they stay near CHUNK_BYTES.
+Past glibc's 128 KiB mmap threshold each of them would come from a fresh
+mapping and pay page faults, so larger chunks are slower, not faster,
+though each chunk pays a fixed cost of about 100 numpy calls. The budget
+keeps memory flat in B. The floor keeps a long panel (3000 x 8 is 192 KB)
+from paying the kernel's per-call overhead once per replicate; it costs
+holding that many panels and their copies at once, about 6 MB at 3000 x 8,
+which grows with n but not with B. The kernel returns all p factors of each
+panel, and each caller slices the ones its statistic uses.
 A singular replicate is redrawn from its own stream; more than 10% of B
 redraws is an error. The bootstrap draws of `resample_maf` and of the
 presence test's bootstrap null come from one block sampler,
@@ -69,12 +78,15 @@ __all__ = [
 ]
 
 
-# Replicate panels are decomposed CHUNK_BYTES of values at a time: enough
-# panels to amortize the per-call overhead of the batched kernel (26 at
-# 150 x 4), few enough that memory does not grow with B. A chunk holds at
-# least MIN_CHUNK_PANELS panels, so that long panels (3000 x 8, of which
-# CHUNK_BYTES holds less than one) still share the kernel's calls; memory
-# then grows with n, not with B.
+# A chunk of replicates holds CHUNK_BYTES of the columns its statistic
+# smooths (`_replicates`' width): enough panels to amortize the fixed cost
+# of a chunk, about 100 numpy calls (53 panels for the presence test's 2
+# factors at 150 x 4, 26 when all 4 are tested), few enough that memory
+# does not grow with B and that the SNR stage's arrays stay near glibc's
+# 128 KiB mmap threshold, above which each temporary costs page faults. A
+# chunk holds at least MIN_CHUNK_PANELS panels, so that long panels (3000 x
+# 8, of which CHUNK_BYTES holds less than one) still share the kernel's
+# calls; memory then grows with n, not with B.
 CHUNK_BYTES = 128_000
 MIN_CHUNK_PANELS = 4
 
@@ -131,18 +143,23 @@ def _pcg64_state(seed_hi: int, seed_lo: int, seq_hi: int, seq_lo: int) -> dict:
             "has_uint32": 0, "uinteger": 0}
 
 
-def _replicates(seed: int, keys: range, n: int, p: int, draw, decompose=None):
-    """Decompose one (n, p) panel per replicate key, by chunks.
+def _replicates(seed: int, keys: range, n: int, width: int, draw, decompose=None):
+    """Decompose one (n, p) panel per replicate key, by chunks sized by `width`.
 
     Replicate `keys[i]` draws exactly what `default_rng(SeedSequence(seed,
     spawn_key=(keys[i],)))` would, the `SeedSequence(seed).spawn` child of
     that index; the streams are computed in bulk by `_stream_words` and
     drawn through one reused Generator. `draw(rngs)` stacks one panel per
     generator from a lazy iterator, which sets the next replicate's state
-    only when asked for it, so each replicate's draws finish first. Each
-    chunk of at most CHUNK_BYTES of values, or of MIN_CHUNK_PANELS panels
-    when fewer fit (about 770 KB of values at 3000 x 8), goes through one
-    `decompose` call, `maf_stack(panels, allow_singular=True)` by default;
+    only when asked for it, so each replicate's draws finish first.
+    `width` is the number of columns per replicate that the caller's
+    per-chunk statistic smooths (k factors for the presence test's SNRs, 1
+    for `power_curve`'s, p for a statistic that smooths nothing); a chunk
+    holds CHUNK_BYTES // (8 n width) panels, so the SNR stage's n x (panels
+    * width) arrays stay near CHUNK_BYTES, below the allocator's mmap
+    threshold, or MIN_CHUNK_PANELS panels when fewer fit (about 770 KB of
+    values at 3000 x 8). Each chunk goes through one `decompose` call,
+    `maf_stack(panels, allow_singular=True)` by default;
     any other returns a MafStack of the same fields. A singular replicate
     is redrawn alone from its own stream, on the same Generator: its first
     draw is replayed and discarded, and each next draw's one-panel
@@ -169,7 +186,7 @@ def _replicates(seed: int, keys: range, n: int, p: int, draw, decompose=None):
             bitgen.state = _pcg64_state(*row)
             yield rng
 
-    size = max(MIN_CHUNK_PANELS, CHUNK_BYTES // (8 * n * p))
+    size = max(MIN_CHUNK_PANELS, CHUNK_BYTES // (8 * n * width))
     budget = max(1, math.ceil(0.1 * B))
     redraws = 0
     for start in range(0, B, size):
@@ -436,7 +453,7 @@ def signal_presence_test(panel, B: int, cfg: SmootherConfig = SmootherConfig(),
         draw, decompose = _block_bootstrap(residuals, block_len), None
 
     null_draws = np.empty((k, B))
-    for start, stop, _, reps, _ in _replicates(seed, range(B), n, p, draw, decompose):
+    for start, stop, _, reps, _ in _replicates(seed, range(B), n, k, draw, decompose):
         null_draws[:, start:stop] = _factor_snrs(reps.factors[..., :k], cfg)
 
     exceed = (null_draws >= observed[:, None]).sum(axis=1)
@@ -487,11 +504,12 @@ def power_curve(spec, signal, multipliers, B: int, alpha: float = 0.05,
 
     n, p = f.size, spec.p
     chol = noise_cholesky(spec.noise_cov, p)
+    width = 1 if statistic == "snr" else p  # the columns the statistic smooths
 
     def stats(b, offset: int) -> np.ndarray:
         out = np.empty(B)
         draw = partial(gen_sn_stack, f, b, chol, ar_phi=spec.k_eps)
-        for start, stop, _, reps, _ in _replicates(seed, range(offset, offset + B), n, p, draw):
+        for start, stop, _, reps, _ in _replicates(seed, range(offset, offset + B), n, width, draw):
             if statistic == "snr":
                 out[start:stop] = _factor_snrs(reps.factors[..., :1], cfg)[0]
             else:

@@ -19,12 +19,14 @@ So the operator holds O(k^2 + BLOCK_ROWS * k) floats, not n^2. Only the
 most recent operator is kept, and it is dropped before the next is built.
 L's trace is the smoother's degrees of freedom, which `SmoothResult`
 reports.
-`smooth_columns` is the one way to apply L, to many columns at once;
-`snr_columns` takes its fitted values and residuals of columns rescaled
-exactly (`unit_scale_columns`, which also rejects a NaN or inf), and
-`loess_smooth` and `empirical_snr` are their one-series cases
-(`one_column`). An SNR is undefined when a column's residual SD is at most
-1e-12 of its largest magnitude, a floor that scales with the column.
+`_fitted_columns` is the one way to apply L, to many columns at once,
+writing each product in place; `smooth_columns` adds the residuals, and
+`snr_columns` takes the fitted values of columns rescaled exactly
+(`unit_scale_columns`, which also rejects a NaN or inf) and forms the
+residuals in place in that rescaled copy. `loess_smooth` and
+`empirical_snr` are their one-series cases (`one_column`). An SNR is
+undefined when a column's residual SD is at most 1e-12 of its largest
+magnitude, a floor that scales with the column.
 """
 
 from __future__ import annotations
@@ -176,26 +178,39 @@ def loess_smooth(series, cfg: SmootherConfig = SmootherConfig()) -> SmoothResult
     return SmoothResult(fitted=fitted[:, 0], residuals=residuals[:, 0], df=df)
 
 
-def smooth_columns(values: np.ndarray, cfg: SmootherConfig) -> tuple[np.ndarray, np.ndarray, float]:
-    """Smooth every column of an (n, p) array at once; returns (fitted, residuals, df).
+def _fitted_columns(values: np.ndarray, cfg: SmootherConfig) -> tuple[np.ndarray, float]:
+    """L applied to every column of an (n, c) array, and L's trace: the one
+    way to apply L, for `smooth_columns` and `snr_columns`.
 
-    L is applied without being built: head and tail rows as rows of the
-    (k, k) offset table, interior rows in blocks of at most BLOCK_ROWS
-    through the one cached (BLOCK_ROWS, BLOCK_ROWS + k - 1) Toeplitz block,
-    so memory is O(k^2 + BLOCK_ROWS * k) for any n. Each fitted value is its
-    row of L times the column; only the summation order can differ from a
-    dense `L @ values`. The caller guarantees finite values, as a panel,
-    `compute_maf`'s factors or `unit_scale_columns` do.
+    L is never built: head and tail rows are rows of the (k, k) offset
+    table, and interior rows go BLOCK_ROWS at a time through the one cached
+    (BLOCK_ROWS, BLOCK_ROWS + k - 1) Toeplitz block, so memory is
+    O(k^2 + BLOCK_ROWS * k) for any n. Each product is written by `np.matmul`
+    straight into its rows of the result, with no temporary per product.
     """
     n = values.shape[0]
     table, block, df = _hat_matrix(n, cfg)
     k, h, rows = table.shape[0], table.shape[0] // 2, block.shape[0]
     fitted = np.empty(values.shape)
-    fitted[:h] = table[:h] @ values[:k]
-    fitted[n - k + h + 1:] = table[h + 1:] @ values[n - k:]
+    np.matmul(table[:h], values[:k], out=fitted[:h])
+    np.matmul(table[h + 1:], values[n - k:], out=fitted[n - k + h + 1:])
     for lo in range(0, n - k + 1, rows):
         r = min(rows, n - k + 1 - lo)
-        fitted[h + lo:h + lo + r] = block[:r, :r + k - 1] @ values[lo:lo + r + k - 1]
+        np.matmul(block[:r, :r + k - 1], values[lo:lo + r + k - 1],
+                  out=fitted[h + lo:h + lo + r])
+    return fitted, df
+
+
+def smooth_columns(values: np.ndarray, cfg: SmootherConfig) -> tuple[np.ndarray, np.ndarray, float]:
+    """Smooth every column of an (n, p) array at once; returns (fitted, residuals, df).
+
+    The fitted values are L applied by `_fitted_columns`, each its row of L
+    times the column; only the summation order can differ from a dense
+    `L @ values`. The residuals are `values - fitted`, and df is L's trace.
+    The caller guarantees finite values, as a panel, `compute_maf`'s factors
+    or `unit_scale_columns` do.
+    """
+    fitted, df = _fitted_columns(values, cfg)
     return fitted, values - fitted, df
 
 
@@ -204,7 +219,12 @@ def snr_columns(values, cfg: SmootherConfig = SmootherConfig()) -> np.ndarray:
 
     Column j's SNR is SD(L y_j) / SD(y_j - L y_j), both population
     normalized; the resampling functions in `mafkit.inference` pass the
-    factors of a whole chunk of replicates as columns.
+    factors of a whole chunk of replicates as columns. The columns are
+    rescaled into one C-ordered copy (`unit_scale_columns`), and the
+    residuals are formed in place in that copy, so a call allocates no
+    residual array and no array per product of L beyond the fitted values.
+    The result is bitwise `fitted.std(0) / residuals.std(0)` of
+    `smooth_columns` on the rescaled columns, whatever the input's layout.
 
     Raises
     ------
@@ -217,9 +237,10 @@ def snr_columns(values, cfg: SmootherConfig = SmootherConfig()) -> np.ndarray:
     """
     if np.ndim(values) != 2:
         raise InvalidInputError(f"expected an (n, c) array of series, got shape {np.shape(values)}")
-    values, peaks = unit_scale_columns(np.asarray(values, dtype=float))
-    fitted, residuals, _ = smooth_columns(values, cfg)
-    sd_resid = residuals.std(axis=0)
+    values, peaks = unit_scale_columns(np.ascontiguousarray(values, dtype=float))
+    fitted, _ = _fitted_columns(values, cfg)
+    values -= fitted  # the residuals, in the scaled copy: values is our own array
+    sd_resid = values.std(axis=0)
     if np.any(sd_resid <= 1e-12 * peaks):
         raise DegenerateResidualError(
             "residual standard deviation is numerically zero; empirical SNR undefined"

@@ -15,7 +15,8 @@ from mafkit import (
 )
 from mafkit import smoothing
 from mafkit.errors import InsufficientDataError
-from mafkit.smoothing import _hat_matrix, _one_slot_cache, smooth_columns
+from mafkit.linalg import unit_scale_columns
+from mafkit.smoothing import _hat_matrix, _one_slot_cache, smooth_columns, snr_columns
 
 
 def brute_force_loess(y, span_fraction, degree):
@@ -173,6 +174,34 @@ class TestLoessSmooth:
 
 
 class TestEmpiricalSnr:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 400), span=st.floats(0.02, 1.0), degree=st.integers(0, 2),
+           columns=st.integers(1, 300), fortran=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_snr_columns_is_the_ratio_of_smooth_columns_sds(self, n, span, degree, columns,
+                                                            fortran, seed):
+        # bitwise, with the residuals formed in place in the scaled copy;
+        # the column layout of the input does not change a bit
+        cfg = SmootherConfig(span_fraction=span, degree=degree)
+        values = scaled_columns(n, columns, seed)
+        scaled, peaks = unit_scale_columns(values)
+        try:
+            fitted, residuals, _ = smooth_columns(scaled, cfg)
+        except InsufficientDataError:
+            with pytest.raises(InsufficientDataError):
+                snr_columns(values, cfg)
+            return
+        if fortran:
+            values = np.asfortranarray(values)
+        sd_resid = residuals.std(axis=0)
+        if np.any(sd_resid <= 1e-12 * peaks):
+            with pytest.raises(DegenerateResidualError):
+                snr_columns(values, cfg)
+            return
+        got = snr_columns(values, cfg)
+        assert got.tobytes() == (fitted.std(axis=0) / sd_resid).tobytes()
+        assert values.tobytes() == scaled_columns(n, columns, seed).tobytes()
+
     def test_iid_noise_scores_low(self):
         values = []
         for seed in range(100):
@@ -208,6 +237,28 @@ class TestEmpiricalSnr:
     def test_constant_series_degenerate(self, value):
         with pytest.raises(DegenerateResidualError):
             empirical_snr(np.full(150, value))
+
+
+def assigned_fitted(values, cfg):
+    """L applied with each product assigned into its rows, through a
+    temporary per product: the reference for `smooth_columns`' products
+    written in place."""
+    n = values.shape[0]
+    table, block, _ = _hat_matrix(n, cfg)
+    k, h, rows = table.shape[0], table.shape[0] // 2, block.shape[0]
+    fitted = np.empty(values.shape)
+    fitted[:h] = table[:h] @ values[:k]
+    fitted[n - k + h + 1:] = table[h + 1:] @ values[n - k:]
+    for lo in range(0, n - k + 1, rows):
+        r = min(rows, n - k + 1 - lo)
+        fitted[h + lo:h + lo + r] = block[:r, :r + k - 1] @ values[lo:lo + r + k - 1]
+    return fitted
+
+
+def scaled_columns(n, columns, seed):
+    """Normal columns scaled by powers of ten from 1e-150 to 1e150."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, columns)) * 10.0 ** rng.uniform(-150, 150, columns)
 
 
 def block_edge_lengths(span):
@@ -298,6 +349,25 @@ class TestHatMatrix:
         assert np.all(np.abs(fitted - hat @ values) <= 1e-13 * peaks)
         np.testing.assert_array_equal(residuals, values - fitted)
         assert abs(df - expected_df) <= n * 1e-14
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 400), span=st.floats(0.02, 1.0), degree=st.integers(0, 2),
+           columns=st.integers(1, 300), layout=st.sampled_from(["C", "F", "strided"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_products_written_in_place_match_assigned_products(self, n, span, degree,
+                                                               columns, layout, seed):
+        # bitwise: np.matmul writes the same products that were assigned
+        cfg = SmootherConfig(span_fraction=span, degree=degree)
+        values = scaled_columns(n, 2 * columns, seed)
+        values = {"C": values[:, :columns], "F": np.asfortranarray(values[:, :columns]),
+                  "strided": values[:, ::2]}[layout]
+        try:
+            expected = assigned_fitted(values, cfg)
+        except InsufficientDataError:
+            return
+        fitted, residuals, _ = smooth_columns(values, cfg)
+        assert fitted.tobytes() == expected.tobytes()
+        assert residuals.tobytes() == (values - expected).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(4, 900), span=st.floats(0.02, 1.0), degree=st.integers(0, 2))

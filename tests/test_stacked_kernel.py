@@ -17,6 +17,7 @@ sample-major kernel it replaced (`maf_stack_sample_major`).
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -67,9 +68,12 @@ from conftest import random_invertible, resample_indices
 
 TOL = 1e-12
 
-# 1 replicate per chunk (with the panel floor lowered to 1); 7 at 150 x 4 (9
-# at 150 x 3), which divides none of the B used here; the default (26 at
-# 150 x 4); everything in one chunk.
+# Chunks hold CHUNK_BYTES // (8 n width) panels, width being the columns
+# per replicate that the caller's statistic smooths: 1 replicate per chunk
+# (with the panel floor lowered to 1); 28 // width at n = 150 (7 at width 4,
+# 9 at 3, 14 at 2, 28 at 1), which divides none of the B used here; the
+# default (26 at 150 x 4 and width 4, 53 at width 2, 106 at width 1);
+# everything in one chunk.
 CHUNK_BYTES = [1, 8 * 150 * 4 * 7, inference.CHUNK_BYTES, 10**9]
 
 
@@ -213,6 +217,30 @@ def count_maf_stack(monkeypatch) -> list:
     monkeypatch.setattr(inference, "maf_stack", counted)
     monkeypatch.setattr(maf_module, "maf_stack", counted)
     return calls
+
+
+def count_chunks(monkeypatch) -> list:
+    """`count_maf_stack`, and the permutation null's `decompose` counted into
+    the same list: one entry per call, its number of panels."""
+    calls = count_maf_stack(monkeypatch)
+    permutation_null = inference._permutation_null
+
+    def counted_null(residuals):
+        draw, decompose = permutation_null(residuals)
+
+        def counted(zs):
+            calls.append(len(zs))
+            return decompose(zs)
+
+        return draw, counted
+
+    monkeypatch.setattr(inference, "_permutation_null", counted_null)
+    return calls
+
+
+def chunks(size, B) -> list:
+    """Panels per chunk of B replicates, `size` to a chunk."""
+    return [size] * (B // size) + [B % size] * (B % size > 0)
 
 
 def loop_draw(f, b, chol, rng, ar_phi):
@@ -664,8 +692,9 @@ class TestPresence:
     @pytest.mark.parametrize("B", [99, 1000])
     def test_bootstrap_null_calls_maf_stack_once_per_chunk(self, example, monkeypatch, B):
         calls = count_maf_stack(monkeypatch)
-        signal_presence_test(example, B=B, block_len=5, seed=4)
-        size = inference.CHUNK_BYTES // (8 * example.n * example.p)
+        k = 1
+        signal_presence_test(example, B=B, block_len=5, n_factors_tested=k, seed=4)
+        size = inference.CHUNK_BYTES // (8 * example.n * k)
         assert calls == [1] + [size] * (B // size) + [B % size] * (B % size > 0)
 
     def test_permutation_null_rejects_singular_residuals(self):
@@ -697,6 +726,69 @@ class TestPresence:
         panel = sparse_panel(rows=(7,))
         with pytest.raises(SingularMatrixError, match="10%"):
             signal_presence_test(panel, B=99, mode="bootstrap", seed=3)
+
+
+class TestChunkSizes:
+    """Panels per chunk by caller, counted in `decompose` and `maf_stack`
+    calls: CHUNK_BYTES // (8 n width), at least MIN_CHUNK_PANELS, where width
+    is the number of columns per replicate that the caller's statistic
+    smooths. The first calls are `compute_maf`'s on the observed panel and,
+    for the permutation null, `maf_stack`'s on the residuals."""
+
+    @pytest.mark.parametrize("k, size", [(2, 53), (1, 106)], ids=["presence", "test-factors-1"])
+    def test_permutation_null_by_factors_tested(self, example, monkeypatch, k, size):
+        calls = count_chunks(monkeypatch)
+        signal_presence_test(example, B=250, n_factors_tested=k, seed=1)
+        assert calls == [1, 1] + chunks(size, 250)
+
+    def test_select_by_test_keeps_p_columns(self, example, monkeypatch):
+        calls = count_chunks(monkeypatch)
+        select_num_factors(example, method="test", B=250, seed=1)
+        assert calls == [1, 1] + chunks(26, 250)
+
+    @pytest.mark.parametrize("statistic, size", [("snr", 106), ("autocorrelation", 35)])
+    def test_power_by_statistic(self, monkeypatch, statistic, size):
+        # the SNR smooths MAF1 alone; the autocorrelation smooths nothing,
+        # so its chunks keep the panel's p columns
+        calls = count_chunks(monkeypatch)
+        spec = SnModelSpec.equicorrelated(b=[0.5, 0.4, 0.3], sigma=1.0, rho=0.5)
+        f = gen_signal(SignalSpec(kind="sinusoid-mixture", n=150, seed=7))
+        power_curve(spec, f, [0.5], B=250, seed=1, statistic=statistic)
+        assert calls == chunks(size, 250) * 2
+
+    def test_resample_keeps_p_columns(self, example, monkeypatch):
+        calls = count_chunks(monkeypatch)
+        resample_maf(example, B=60, block_len=5, n_factors=2, seed=1)
+        assert calls == [1] + chunks(26, 60)
+
+    def test_long_resample_at_the_panel_floor(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        panel = np.cumsum(rng.standard_normal((3005, 8)), axis=0) + rng.standard_normal((3005, 8))
+        calls = count_chunks(monkeypatch)
+        resample_maf(panel, B=9, block_len=20, n_factors=2, seed=1)
+        assert calls == [1] + chunks(4, 9)
+
+    def test_experiment_keeps_p_columns(self, monkeypatch):
+        calls = count_chunks(monkeypatch)
+        grid = ExperimentGrid(rho_values=(0.5,), b_multipliers=(1.0,), base_b=(0.8, 0.4, 0.2),
+                              n=150, reps=50, seed=33)
+        run_comparison_experiment(grid)
+        assert calls == chunks(35, 50)
+
+    @pytest.mark.parametrize("mode, block_len, B", [("permutation", 1, 4999),
+                                                    ("bootstrap", 5, 999)])
+    def test_chunking_moves_null_draws_by_rounding_only(self, example, monkeypatch,
+                                                         mode, block_len, B):
+        # `smooth_columns`'s interior block product rounds with its column
+        # count, so the null draws depend on the chunks by rounding only
+        run = partial(signal_presence_test, example, B=B, mode=mode, block_len=block_len,
+                      n_factors_tested=2, seed=0)
+        default = run()
+        monkeypatch.setattr(inference, "CHUNK_BYTES", 1)
+        monkeypatch.setattr(inference, "MIN_CHUNK_PANELS", 1)
+        single = run()
+        np.testing.assert_array_equal(default.p_value, single.p_value)
+        np.testing.assert_allclose(default.null_draws, single.null_draws, rtol=1e-15, atol=0)
 
 
 class TestPower:
