@@ -37,7 +37,9 @@ The permutation null passes `_replicates` its own decomposition
 (`_permutation_null`): a row permutation leaves the covariance unchanged,
 so the residuals go through `maf_stack` once, and each permuted panel of
 their MAF factors is decomposed from its lag-1 moments, with no covariance,
-whitening or redraw per replicate.
+whitening or redraw per replicate. Those factors are white, so each chunk
+solves `maf_stack`'s covariance pencil with W = I: one batched eigh of the
+differenced covariance built from the moments.
 """
 
 from __future__ import annotations

@@ -5,22 +5,19 @@ centered 1/(n-1) estimator throughout; scale factors cancel in the
 autocorrelation Rayleigh quotients downstream, so the choice only affects
 reported magnitudes, never directions.
 
-`covariance_stack`, `sym_eig` and `inverse_sqrt_stack` also take stacks of
-panels or matrices on leading axes, for the batched MAF kernel, and
-`spd_singular` is the one rule every singularity check applies.
-`covariance_stack` is the one covariance: it takes time-major (..., p, n)
-panels, each series along the last axis, the layout the MAF kernel keeps
-its chunks in, so its centring and product run along contiguous time;
-`sample_covariance` passes it an (n, p) panel transposed. The MAF
-kernel applies the SPD rule to the equilibrated covariance D S D, whose
-diagonal lies in [0.25, 1), so a panel is not singular for its series'
-units.
-`inverse_sqrt_stack` takes covariances its caller built (exactly symmetric
-and finite, as from `covariance_stack`) and checks nothing; the entry
-points for matrices from outside, `inverse_sqrt`, `sym_eig` and
-`assert_spd`, check them with `_check_symmetric` first. `_fix_signs` is the
-one orientation of `sym_eig`'s eigenvectors and of unit weight vectors
-(`unit_direction`).
+`covariance_stack`, `sym_eig` and `inverse_sqrt` also take stacks of
+panels or matrices on leading axes, and `spd_singular` is the one rule
+every singularity check applies. `covariance_stack` is the one
+covariance: it takes time-major (..., p, n) panels, each series along the
+last axis, the layout the MAF kernel keeps its chunks in, so its centring
+and product run along contiguous time; `sample_covariance` passes it an
+(n, p) panel transposed. The MAF kernel whitens its p x p covariances
+itself, from one `eigh` of the equilibrated covariance E S E, and applies
+the SPD rule to that spectrum; E S E's diagonal lies in [0.25, 1), so a
+panel is not singular for its series' units. The entry points for
+matrices from outside, `inverse_sqrt`, `sym_eig` and `assert_spd`, check
+them with `_check_symmetric` first. `_fix_signs` is the one orientation of
+`sym_eig`'s eigenvectors and of unit weight vectors (`unit_direction`).
 
 `unit_series` is the one rule for the input of a series statistic (one
 series of at least 3 finite points, not constant), which it rescales by
@@ -218,23 +215,9 @@ def require_spd(values, what: str = "matrix") -> None:
         )
 
 
-def inverse_sqrt_stack(m) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric inverse square roots of one matrix or a stack, via eigh.
-
-    `m` is unchecked: the caller built it exactly symmetric and finite, as
-    `covariance_stack` does. Returns (roots, ascending eigenvalues). A
-    matrix that fails the SPD rule (see `spd_singular`) does not raise: its
-    eigenvalues are taken as 1, so its root is the identity up to rounding,
-    and callers decide what to do with it.
-    """
-    values, vectors = np.linalg.eigh(m)
-    safe = np.where(spd_singular(values)[..., None], 1.0, values)
-    root = (vectors / np.sqrt(safe)[..., None, :]) @ _swap(vectors)
-    return 0.5 * (root + _swap(root)), values
-
-
 def inverse_sqrt(m) -> np.ndarray:
-    """Symmetric inverse square root M^{-1/2} via spectral decomposition.
+    """Symmetric inverse square root M^{-1/2} via spectral decomposition,
+    of one matrix or of each matrix of a (..., p, p) stack.
 
     Raises
     ------
@@ -243,9 +226,10 @@ def inverse_sqrt(m) -> np.ndarray:
     SingularMatrixError
         If the smallest eigenvalue is below SPD_RTOL times the largest.
     """
-    root, values = inverse_sqrt_stack(_check_symmetric(m))
+    values, vectors = np.linalg.eigh(_check_symmetric(m))
     require_spd(values)
-    return root
+    root = (vectors / np.sqrt(values)[..., None, :]) @ _swap(vectors)
+    return 0.5 * (root + _swap(root))
 
 
 def assert_spd(m, what: str = "matrix") -> np.ndarray:

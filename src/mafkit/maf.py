@@ -1,9 +1,11 @@
 """Maximum-autocorrelation-factor and principal-component decompositions.
 
-The MAF coefficients solve a whitened symmetric eigenproblem: whiten the
-panel so its sample covariance is the identity, eigendecompose the
-covariance of the differenced (whitened) panel in ascending order, and map
-the eigenvectors back through the whitening transform. The factor with the
+The MAF coefficients are the generalized eigenvectors of the covariance
+pencil (Σ_Δ, S), the covariance of the differenced panel against the
+panel's covariance (Switzer & Green 1984). They are solved on p x p
+matrices only: one eigendecomposition S = U Λ U^T gives the whitener
+W = U Λ^(-1/2), so that W^T S W = I, and the ascending eigenvectors V of
+W^T Σ_Δ W give the coefficients W V. The factor with the
 smallest differenced-covariance eigenvalue K has the largest lag-1
 autocorrelation r = 1 - K/2 among all linear combinations of the input
 series; successive factors maximize autocorrelation subject to being
@@ -17,16 +19,17 @@ two per series, so neither the panel's scale nor each series' scale or
 units matter.
 
 `maf_stack` runs this algorithm over a stack of panels of one shape with
-batched numpy linear algebra (Switzer & Green 1984), on one time-major
-(m, p, n) copy of the stack, so each reduction over time runs along
-contiguous memory (Golub & Van Loan, *Matrix Computations*, §8.7). One
+batched numpy linear algebra, on one time-major (m, p, n) copy of the
+stack, so each reduction over time runs along contiguous memory (Golub &
+Van Loan, *Matrix Computations*, §8.7); no whitened panel is formed. One
 eigendecomposition yields all p factors, so it returns them all, and how
 many to keep is the caller's slice. `compute_maf` is its one-panel case, and the resampling
 functions in `mafkit.inference` feed it chunks of replicate panels; each
 row of a stack is bitwise the decomposition `compute_maf` gives that panel,
-up to the trend sign. It is the one function that scales and whitens panels
-and applies the SPD rule to them; the permutation null decomposes its
-residuals with it once and works in their MAF coordinates.
+up to the trend sign. It is the one function that scales panels, whitens
+their covariances and applies the SPD rule to them; the permutation null
+decomposes its residuals with it once and, in their MAF coordinates, solves
+the same pencil with W = I.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ import numpy as np
 from .errors import DegenerateSeriesError, InsufficientDataError, InvalidInputError
 from .linalg import (
     covariance_stack,
-    inverse_sqrt_stack,
     require_spd,
     sample_covariance,
     spd_singular,
@@ -65,7 +67,8 @@ class MafDecomposition:
         factors = panel values @ coefficients, ordered by decreasing
         lag-1 autocorrelation.
     diff_eigenvalues : ndarray, shape (p,)
-        Ascending eigenvalues K of the whitened differenced covariance.
+        Ascending eigenvalues K of the pencil, the whitened differenced
+        covariance W^T Σ_Δ W.
     autocorrelations : ndarray, shape (p,)
         Per-factor lag-1 autocorrelation, r = 1 - K/2 clamped to [-1, 1]
         (factors are unit-variance by construction, so r equals
@@ -105,8 +108,9 @@ class MafStack(NamedTuple):
         their own sign rule.
     factors : (m, n, p), panel values @ coefficients; a view of the
         kernel's time-major (m, p, n) product, writable like an array.
-    diff_eigenvalues : (m, p) ascending eigenvalues K of the whitened
-        differenced covariance; lag-1 autocorrelation is 1 - K/2.
+    diff_eigenvalues : (m, p) ascending eigenvalues K of the pencil, the
+        whitened differenced covariance W^T Σ_Δ W; lag-1 autocorrelation
+        is 1 - K/2.
     singular : (m,) True where the panel's equilibrated sample covariance
         failed the SPD rule (only possible with `allow_singular`); those panels'
         entries are NaN.
@@ -125,20 +129,25 @@ def maf_stack(x, allow_singular: bool = False) -> MafStack:
     reduction over time below runs along the contiguous last axis. Per
     panel: exact power-of-two scaling of each series (the one power of two
     that puts the series' peak |value| in [0.5, 1)), centered covariance S
-    (`covariance_stack`), equilibrated as S' = D S D with D = diag(2^-e)
-    for the powers of two 2^e of the square roots of S's diagonal,
-    whitening by W = D S'^{-1/2} (`inverse_sqrt_stack`, batched eigh), so
-    the whitened panel is W^T x^T, covariance of its differences along
-    time, and its ascending eigendecomposition (batched
-    `np.linalg.eigh`), which yields all p factors at once; a caller that
-    needs fewer slices them. The scalings are exact, so no covariance over-
-    or underflows for any |values| from about 1e-300 to 1e300, and each
-    coefficient row is scaled back by its series' power of two, so the
-    result does not depend on the panel's scale nor on any one series'
-    scale. The SPD rule applies to S', so it does not depend on the units
-    of each series either. Both covariances come from `covariance_stack`,
-    exactly symmetric, so neither is re-checked. This is the one function
-    that scales and whitens panels and applies the SPD rule to them. No
+    (`covariance_stack`), equilibrated as S' = E S E with E = diag(2^-e)
+    for the powers of two 2^e of the square roots of S's diagonal. One
+    batched `np.linalg.eigh` of S' = U Λ U^T gives both the spectrum the
+    SPD rule reads and the whitener W = E U Λ^(-1/2), so W^T S W = I. The
+    covariance Σ_Δ of the scaled panel's differences along time
+    (`covariance_stack`) then enters the pencil as W^T Σ_Δ W, and its
+    ascending eigendecomposition (batched `np.linalg.eigh`, which reads
+    one triangle) yields all p factors at once as the coefficients W V; a
+    caller that needs fewer slices them. Only p x p matrices are whitened:
+    no whitened (m, p, n) panel is formed. The scalings are exact, so no
+    covariance over- or underflows for any |values| from about 1e-300 to
+    1e300, and each coefficient row is scaled back by its series' power of
+    two, so the result does not depend on the panel's scale nor on any one
+    series' scale. The SPD rule applies to S', so it does not depend on
+    the units of each series either; a spectrum that fails it has its
+    eigenvalues taken as 1, and its panel's entries are NaN. Both
+    covariances come from `covariance_stack`, exactly symmetric, so
+    neither is re-checked. This is the one function that scales panels,
+    whitens their covariances and applies the SPD rule to them. No
     sign rule is applied: each factor keeps LAPACK's sign, and the callers
     set theirs (`compute_maf` the trend sign, `resample_maf` alignment with
     the original factors; the test, power and comparison statistics ignore
@@ -174,18 +183,19 @@ def maf_stack(x, allow_singular: bool = False) -> MafStack:
     if not np.all(np.isfinite(peaks)):
         raise InvalidInputError("panel has non-finite values")
     x = np.ldexp(x, -exponents)
-    # S' = D S D has a diagonal in [0.25, 1), so the SPD rule sees series of
-    # any units alike; D is a power of two per series, so S' and the rows
-    # of W = D S'^{-1/2} are scaled exactly
+    # S' = E S E has a diagonal in [0.25, 1), so the SPD rule sees series of
+    # any units alike; E is a power of two per series, so S' and the rows
+    # of W = E U Λ^(-1/2) are scaled exactly
     cov = covariance_stack(x)
     _, e = np.frexp(np.sqrt(np.diagonal(cov, axis1=1, axis2=2)))
-    root, cov_values = inverse_sqrt_stack(np.ldexp(cov, -(e[:, :, None] + e[:, None, :])))
-    whitener = np.ldexp(root, -e[:, :, None])
+    cov_values, basis = np.linalg.eigh(np.ldexp(cov, -(e[:, :, None] + e[:, None, :])))
     singular = spd_singular(cov_values)
     if not allow_singular:
         require_spd(cov_values, "sample covariance")
-    white = np.swapaxes(whitener, 1, 2) @ x
-    diff_values, vectors = np.linalg.eigh(covariance_stack(np.diff(white, axis=2)))
+    safe = np.where(singular[:, None], 1.0, cov_values)
+    whitener = np.ldexp(basis / np.sqrt(safe)[:, None, :], -e[:, :, None])
+    diff_cov = covariance_stack(np.diff(x, axis=2))
+    diff_values, vectors = np.linalg.eigh(np.swapaxes(whitener, 1, 2) @ diff_cov @ whitener)
     coefficients = whitener @ vectors
     factors = np.swapaxes(np.swapaxes(coefficients, 1, 2) @ x, 1, 2)
     coefficients = np.ldexp(coefficients, -exponents)

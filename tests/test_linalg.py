@@ -156,10 +156,14 @@ class TestInverseSqrt:
             inverse_sqrt(np.diag([4.0, 9.0])), np.diag([0.5, 1.0 / 3.0]), atol=1e-14
         )
 
-    def test_sandwich_identity(self, rng):
-        m = random_spd(rng, 5)
+    @pytest.mark.parametrize("shape", [(5, 5), (3, 5, 5)], ids=["matrix", "stack"])
+    def test_sandwich_identity(self, rng, shape):
+        # a stack of matrices is rooted matrix by matrix
+        count = int(np.prod(shape[:-2]))
+        m = np.stack([random_spd(rng, 5) for _ in range(count)]).reshape(shape)
         half = inverse_sqrt(m)
-        np.testing.assert_allclose(half @ m @ half, np.eye(5), atol=1e-8)
+        assert half.shape == shape
+        np.testing.assert_allclose(half @ m @ half, np.broadcast_to(np.eye(5), shape), atol=1e-8)
 
     def test_commutes_with_input(self, rng):
         m = random_spd(rng, 4)

@@ -12,11 +12,14 @@ it replaced (`gen_sn_panel`, `compute_maf`, `compute_pca` and the recovery
 statistics on the spawned children) in the same way. The permutation null,
 decomposed from lag-1 moments in the residuals' MAF coordinates, is also
 held to `maf_stack` on every permuted residual panel
-(`maf_stack_permutation_null`), and the time-major `maf_stack` to the
-sample-major kernel it replaced (`maf_stack_sample_major`).
+(`maf_stack_permutation_null`), and the time-major `maf_stack`, which
+solves the covariance pencil on p x p matrices, to the sample-major kernel
+it replaced, which whitened and differenced the panel itself
+(`maf_stack_sample_major`).
 """
 
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -53,11 +56,10 @@ from mafkit.cli import ingest_csv, main
 from mafkit.datasets import example_panel_path
 from mafkit.linalg import (
     _check_symmetric,
+    _fix_signs,
     covariance_stack,
-    inverse_sqrt_stack,
     require_spd,
     spd_singular,
-    sym_eig,
 )
 from mafkit.maf import MafStack, maf_stack
 from mafkit.panel import as_panel
@@ -108,25 +110,28 @@ def redrawn(draw, rng):
 
 def checked_maf_stack(x, allow_singular):
     """`maf_stack`'s decomposition as it was when the kernel re-checked both
-    covariances (`_check_symmetric`) and oriented each eigenvector with
-    `sym_eig` (largest-magnitude component positive). The covariances are
-    built in the kernel's time-major (m, p, n) layout. The covariance S is
-    equilibrated as in `maf_stack`: S' = D S D, D = diag(2^-e) for the
-    powers of two 2^e of the square roots of S's diagonal, whitened by
-    D S'^{-1/2}."""
+    covariances (`_check_symmetric`) and oriented each eigenvector
+    (`_fix_signs`, largest-magnitude component positive). The covariances
+    are built in the kernel's time-major (m, p, n) layout, and the pencil
+    solved as in `maf_stack`: S' = E S E, E = diag(2^-e) for the powers of
+    two 2^e of the square roots of S's diagonal, S' = U Λ U^T, whitener
+    W = E U Λ^(-1/2), and the eigenvectors of W^T Σ_Δ W. That product is
+    symmetric only up to rounding, so it goes to `np.linalg.eigh`, which
+    reads one triangle, not to `sym_eig`, whose check would average it with
+    its transpose."""
     x = np.ascontiguousarray(np.swapaxes(x, 1, 2))
     cov = _check_symmetric(covariance_stack(x))
     _, e = np.frexp(np.sqrt(np.diagonal(cov, axis1=1, axis2=2)))
-    root, cov_values = inverse_sqrt_stack(np.ldexp(cov, -(e[:, :, None] + e[:, None, :])))
-    whitener = np.ldexp(root, -e[:, :, None])
+    cov_values, basis = np.linalg.eigh(np.ldexp(cov, -(e[:, :, None] + e[:, None, :])))
     singular = spd_singular(cov_values)
     if not allow_singular:
         require_spd(cov_values, "sample covariance")
-    white = np.swapaxes(whitener, 1, 2) @ x
-    diff_eig = sym_eig(covariance_stack(np.diff(white, axis=2)), order="ascending")
-    coefficients = whitener @ diff_eig.vectors
+    safe = np.where(singular[:, None], 1.0, cov_values)
+    whitener = np.ldexp(basis / np.sqrt(safe)[:, None, :], -e[:, :, None])
+    diff_cov = _check_symmetric(covariance_stack(np.diff(x, axis=2)))
+    diff_values, vectors = np.linalg.eigh(np.swapaxes(whitener, 1, 2) @ diff_cov @ whitener)
+    coefficients = whitener @ _fix_signs(vectors)
     factors = np.swapaxes(np.swapaxes(coefficients, 1, 2) @ x, 1, 2)
-    diff_values = diff_eig.values
     if np.any(singular):
         coefficients[singular] = factors[singular] = diff_values[singular] = np.nan
     return MafStack(coefficients, factors, diff_values, singular)
@@ -141,17 +146,29 @@ def sample_major_covariance(x):
     return 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
+def symmetric_inverse_sqrt(m):
+    """Symmetric inverse square roots of a stack of covariances, and their
+    ascending eigenvalues; a spectrum that fails the SPD rule is taken as
+    all ones, so its root is the identity up to rounding."""
+    values, vectors = np.linalg.eigh(m)
+    safe = np.where(spd_singular(values)[..., None], 1.0, values)
+    root = (vectors / np.sqrt(safe)[..., None, :]) @ np.swapaxes(vectors, -1, -2)
+    return 0.5 * (root + np.swapaxes(root, -1, -2)), values
+
+
 def maf_stack_sample_major(x, allow_singular=False):
-    """`maf_stack` as it was before the time-major layout, kept as the
-    reference: both covariances reduce over the middle axis of the (m, n, p)
-    stack, and each panel is scaled by the one power of two of its peak
-    |value| (so a series far below the panel's peak may underflow)."""
+    """`maf_stack` as it was before the time-major layout and the covariance
+    pencil, kept as the reference: both covariances reduce over the middle
+    axis of the (m, n, p) stack, the panel itself is whitened by
+    E S'^(-1/2) and then differenced, and each panel is scaled by the one
+    power of two of its peak |value| (so a series far below the panel's
+    peak may underflow)."""
     x = np.asarray(x, dtype=float)
     _, exponents = np.frexp(np.abs(x).max(axis=(1, 2), keepdims=True))
     x = np.ldexp(x, -exponents)
     cov = sample_major_covariance(x)
     _, e = np.frexp(np.sqrt(np.diagonal(cov, axis1=1, axis2=2)))
-    root, cov_values = inverse_sqrt_stack(np.ldexp(cov, -(e[:, :, None] + e[:, None, :])))
+    root, cov_values = symmetric_inverse_sqrt(np.ldexp(cov, -(e[:, :, None] + e[:, None, :])))
     whitener = np.ldexp(root, -e[:, :, None])
     singular = spd_singular(cov_values)
     if not allow_singular:
@@ -364,6 +381,24 @@ class TestKernel:
                 np.testing.assert_array_equal(stack.coefficients[i] * signs, one.coefficients)
                 np.testing.assert_array_equal(stack.factors[i] * signs, one.factors)
                 np.testing.assert_array_equal(stack.diff_eigenvalues[i], one.diff_eigenvalues)
+
+    @pytest.mark.parametrize("shape", [(4, 3005, 8), (106, 150, 3), (53, 150, 4)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_whitens_no_panel(self, rng, shape):
+        # chunk shapes of a long bootstrap, of `power` and of a bootstrap
+        # null; the pencil whitens p x p covariances only, so a warm call's
+        # peak holds the time-major copy of the stack, the differenced panel
+        # and its centred copy, but no whitened (m, p, n) panel, which took
+        # the peak past 4 times the stack
+        x = rng.standard_normal(shape).cumsum(axis=1)
+        maf_stack(x)
+        tracemalloc.start()
+        try:
+            maf_stack(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.75 * x.nbytes
 
     def test_singular_panel_flagged_or_raised(self, rng):
         x = rng.standard_normal((4, 40, 2))
@@ -1058,10 +1093,11 @@ def test_maf_stack_matches_the_sample_major_kernel(m, p, extra_rows, mixing, see
     # factor or coefficient column by that times cond(S) over its relative
     # eigen-gap, as in the permutation-null property below; noise and
     # random walks mixed by a matrix of condition number below `mixing`,
-    # in units of series from 1e-10 to 1e10. On 14 000 such panels the
-    # largest moves were 7.3e-16 * cond(S) for an eigenvalue, relative to
-    # the largest, and 1.4e-15 * cond(S) / gap for a factor or a
-    # coefficient column, so 2e-14 leaves a margin of over ten
+    # in units of series from 1e-10 to 1e10. The kernel also whitens only
+    # the p x p covariances, where the reference whitened and differenced
+    # the panel. On 10 728 such panels the largest moves were 3.1% of the
+    # bound below for an eigenvalue and 2.7% for a factor or a coefficient
+    # column (at most 1.2e-15 * cond(S) / gap), a margin of over thirty
     rng = np.random.default_rng(seed)
     n = max(p + extra_rows, 3)
     x = rng.standard_normal((m, n, p)).cumsum(axis=1) + rng.standard_normal((m, n, p))
