@@ -317,8 +317,31 @@ def _write_csv(path: Path, header: list[str], *blocks) -> None:
                                         _csv_rows(blocks)))
 
 
+def _json_text(value, pad: str = "") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`, each line after the
+    first indented by `pad` more, with every list of floats encoded by
+    json's C encoder (see `_write_json`)."""
+    inner = pad + "  "
+    if isinstance(value, list) and value and all(isinstance(v, float) for v in value):
+        lines, brackets = [json.dumps(value)[1:-1].replace(", ", ",\n" + inner)], "[]"
+    elif isinstance(value, list) and value:
+        lines, brackets = [_json_text(item, inner) for item in value], "[]"
+    elif isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        lines = [f"{json.dumps(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
+        brackets = "{}"
+    else:
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(lines) + f"\n{pad}{brackets[1]}"
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
+    # The bytes of `json.dumps(payload, indent=2, sort_keys=True) + "\n"`.
+    # json encodes in pure Python whenever `indent` is set, which made
+    # `test`'s null draws (k x B floats) the slowest part of its report; a
+    # list of floats instead goes through the C encoder as one line, whose
+    # ", " separators are then re-indented, since no float's repr (nor NaN
+    # or Infinity) contains ", ". Everything else keeps json's own rules.
+    _atomic_write(path, [(_json_text(payload) + "\n").encode()])
 
 
 def _config_dict(args: argparse.Namespace) -> dict:

@@ -39,7 +39,10 @@ so the residuals go through `maf_stack` once, and each permuted panel of
 their MAF factors is decomposed from its lag-1 moments, with no covariance,
 whitening or redraw per replicate. Those factors are white, so each chunk
 solves `maf_stack`'s covariance pencil with W = I: one batched eigh of the
-differenced covariance built from the moments.
+differenced covariance built from the moments. A chunk's permuted rows are
+gathered with one `np.take`, and its factors are written time-major, as an
+(n, m, p) buffer, so that `_factor_snrs` reads their columns without a
+transpose copy.
 """
 
 from __future__ import annotations
@@ -228,15 +231,19 @@ def _permutation_null(residuals: np.ndarray):
     SPD rule covers every replicate (none can be singular, so none is
     redrawn), and a singular residual covariance raises SingularMatrixError
     naming the residuals. `draw` stacks the permuted rows Z[pi], one
-    `rng.permutation(n)` per replicate. The differenced covariance of each
-    comes from its lag-1 moments: with G0 = Z^T Z, G1 = Z[pi][1:]^T
-    Z[pi][:-1], and f and l the first and last rows of Z[pi],
+    `rng.permutation(n)` per replicate, and gathers a chunk's rows with one
+    `np.take`, several times faster than the fancy index it equals. The
+    differenced covariance of each comes from its lag-1 moments: with
+    G0 = Z^T Z, G1 = Z[pi][1:]^T Z[pi][:-1], and f and l the first and last
+    rows of Z[pi],
     D = (2 G0 - f f^T - l l^T - (G1 + G1^T) - (l - f)(l - f)^T / (n - 1)) / (n - 2).
     One batched eigh of D gives the ascending eigenvalues and V; the
-    factors are Z[pi] V, centered, and the coefficients C V. The moments
-    cancel when rows are strongly autocorrelated, but permuted rows have
-    lag-1 autocorrelation near 0; every other replicate panel goes through
-    `maf_stack`.
+    factors are Z[pi] V, centered, and the coefficients C V. The factors
+    are written into an (n, m, p) buffer and returned as its (m, n, p)
+    view, so that `_factor_snrs` reads their columns for the SNR stage
+    without a strided transpose copy. The moments cancel when rows are
+    strongly autocorrelated, but permuted rows have lag-1 autocorrelation
+    near 0; every other replicate panel goes through `maf_stack`.
     """
     try:
         basis = maf_stack(residuals[None])
@@ -244,24 +251,25 @@ def _permutation_null(residuals: np.ndarray):
         raise SingularMatrixError(f"the residuals' {exc}") from exc
     coefficients, z = basis.coefficients[0], basis.factors[0]
     z = z - z.mean(axis=0)
-    n = len(z)
-    g0 = z.T @ z
+    n, p = z.shape
+    twice_g0 = 2.0 * (z.T @ z)
 
     def draw(rngs):
-        return z[np.stack([rng.permutation(n) for rng in rngs])]
+        return np.take(z, np.stack([rng.permutation(n) for rng in rngs]), axis=0)
 
     def decompose(zs):
-        first, last = zs[:, :1], zs[:, -1:]
+        first, last = zs[:, 0], zs[:, -1]
         g1 = np.swapaxes(zs[:, 1:], 1, 2) @ zs[:, :-1]
         jump = last - first
 
-        def outer(v):
-            return np.swapaxes(v, 1, 2) @ v
+        def outer(v):  # bitwise the (p, 1) @ (1, p) matmul of each row
+            return v[:, :, None] * v[:, None, :]
 
-        diff_cov = (2.0 * g0 - outer(first) - outer(last) - (g1 + np.swapaxes(g1, 1, 2))
+        diff_cov = (twice_g0 - outer(first) - outer(last) - (g1 + np.swapaxes(g1, 1, 2))
                     - outer(jump) / (n - 1)) / (n - 2)
         values, vectors = np.linalg.eigh(diff_cov)
-        return MafStack(coefficients @ vectors, zs @ vectors, values,
+        factors = np.empty((n, len(zs), p)).transpose(1, 0, 2)
+        return MafStack(coefficients @ vectors, np.matmul(zs, vectors, out=factors), values,
                         np.zeros(len(zs), dtype=bool))
 
     return draw, decompose

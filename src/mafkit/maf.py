@@ -106,8 +106,9 @@ class MafStack(NamedTuple):
     coefficients : (m, p, p) weights, columns in ascending eigenvalue order,
         each with the sign LAPACK gave it; callers that publish factors set
         their own sign rule.
-    factors : (m, n, p), panel values @ coefficients; a view of the
-        kernel's time-major (m, p, n) product, writable like an array.
+    factors : (m, n, p), panel values @ coefficients; a writable (m, n, p)
+        view, of `maf_stack`'s time-major (m, p, n) product or of the
+        permutation null's (n, m, p) buffer, laid out for the SNR stage.
     diff_eigenvalues : (m, p) ascending eigenvalues K of the pencil, the
         whitened differenced covariance W^T Σ_Δ W; lag-1 autocorrelation
         is 1 - K/2.

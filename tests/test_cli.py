@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -20,8 +21,8 @@ from mafkit import (CsvParseError, DegenerateResidualError, DegenerateSeriesErro
                     InsufficientDataError, InvalidConfigError, InvalidInputError, MafkitError,
                     ParameterPoleError, SingularMatrixError, __version__)
 import mafkit.cli
-from mafkit.cli import (_atomic_write, _csv_rows, _quote, _write_csv, build_parser, ingest_csv,
-                         main)
+from mafkit.cli import (_atomic_write, _csv_rows, _quote, _write_csv, _write_json, build_parser,
+                         ingest_csv, main)
 from mafkit.datasets import example_panel_path
 from mafkit.simulate import SIGNAL_KINDS
 
@@ -677,6 +678,49 @@ def test_float_kernel_writes_what_percent_17g_writes():
     assert len(got) == len(expected)
     wrong = [(float(v), g, e) for v, g, e in zip(x, got, expected) if g != e]
     assert not wrong, wrong[:5]
+
+
+# JSON payloads for `_write_json`: floats at the edges of repr (NaN, the
+# infinities, -0.0, the least subnormal, the points where repr switches to
+# exponent notation), other scalars, strings holding the ", " that float
+# lists are re-indented at, quotes, newlines and non-ASCII text, and nested
+# lists and dicts, empty ones included, so that float lists occur at every
+# depth, inside lists of lists and beside lists that mix floats with ints
+# or None
+JSON_FLOAT = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16,
+                                        1e-5, 0.1]), st.floats())
+JSON_TEXT = st.text(st.sampled_from(', "\n\\aZ09é€\U0001f600'), max_size=6)
+JSON_VALUE = st.recursive(
+    st.one_of(JSON_FLOAT, st.integers(), st.booleans(), st.none(), JSON_TEXT,
+              st.lists(JSON_FLOAT, max_size=5)),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(JSON_TEXT, children,
+                                                                      max_size=4),
+    max_leaves=24,
+)
+
+
+def stdlib_json_bytes(payload) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=st.dictionaries(JSON_TEXT, JSON_VALUE, max_size=5))
+def test_json_writer_writes_the_stdlib_bytes(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("json") / "payload.json"
+    _write_json(path, payload)
+    assert path.read_bytes() == stdlib_json_bytes(payload)
+
+
+def test_json_writer_writes_the_stdlib_bytes_of_a_test_report(tmp_path):
+    # the payload `test` writes: config, k x B null draws and the p-values.
+    # json reads back every float it wrote, so the report's own payload is
+    # what the stdlib must have encoded
+    main(["test", "--input", str(example_panel_path()), "--output", str(tmp_path),
+          "-B", "99", "--factors", "2"])
+    written = (tmp_path / "report.json").read_bytes()
+    payload = json.loads(written)
+    assert len(payload["null_draws"]) == 2 and len(payload["null_draws"][0]) == 99
+    assert written == stdlib_json_bytes(payload)
 
 
 def test_atomic_write_keeps_the_old_file_when_a_piece_fails(tmp_path):

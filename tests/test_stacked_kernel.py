@@ -12,10 +12,11 @@ it replaced (`gen_sn_panel`, `compute_maf`, `compute_pca` and the recovery
 statistics on the spawned children) in the same way. The permutation null,
 decomposed from lag-1 moments in the residuals' MAF coordinates, is also
 held to `maf_stack` on every permuted residual panel
-(`maf_stack_permutation_null`), and the time-major `maf_stack`, which
-solves the covariance pencil on p x p matrices, to the sample-major kernel
-it replaced, which whitened and differenced the panel itself
-(`maf_stack_sample_major`).
+(`maf_stack_permutation_null`) and, bit for bit, to its own earlier chunk
+arithmetic (`permutation_null_reference`). The time-major `maf_stack`,
+which solves the covariance pencil on p x p matrices, is held to the
+sample-major kernel it replaced, which whitened and differenced the panel
+itself (`maf_stack_sample_major`).
 """
 
 import math
@@ -220,6 +221,37 @@ def maf_stack_permutation_null(panel, B, k, seed, cfg=SmootherConfig()):
         null[:, start:stop] = inference._factor_snrs(reps.factors[..., :k], cfg)
         spectra[start:stop] = reps.diff_eigenvalues
     return null, spectra
+
+
+def permutation_null_reference(residuals):
+    """`inference._permutation_null` as it was before its chunks were laid
+    out for the SNR stage: the chunk's rows gathered by a fancy index, the
+    outer products of the first, last and jump rows as (p, 1) @ (1, p)
+    matmuls, 2 G0 formed per chunk, and sample-major (m, n, p) factors."""
+    basis = maf_stack(residuals[None])
+    coefficients, z = basis.coefficients[0], basis.factors[0]
+    z = z - z.mean(axis=0)
+    n = len(z)
+    g0 = z.T @ z
+
+    def draw(rngs):
+        return z[np.stack([rng.permutation(n) for rng in rngs])]
+
+    def decompose(zs):
+        first, last = zs[:, :1], zs[:, -1:]
+        g1 = np.swapaxes(zs[:, 1:], 1, 2) @ zs[:, :-1]
+        jump = last - first
+
+        def outer(v):
+            return np.swapaxes(v, 1, 2) @ v
+
+        diff_cov = (2.0 * g0 - outer(first) - outer(last) - (g1 + np.swapaxes(g1, 1, 2))
+                    - outer(jump) / (n - 1)) / (n - 2)
+        values, vectors = np.linalg.eigh(diff_cov)
+        return MafStack(coefficients @ vectors, zs @ vectors, values,
+                        np.zeros(len(zs), dtype=bool))
+
+    return draw, decompose
 
 
 def count_maf_stack(monkeypatch) -> list:
@@ -712,6 +744,24 @@ class TestPresence:
                                    rtol=0, atol=TOL * np.abs(reference.coefficients).max())
         expected = reference.factors - reference.factors.mean(axis=1, keepdims=True)
         np.testing.assert_allclose(stack.factors * signs, expected, rtol=0, atol=TOL)
+
+    def test_permutation_null_chunk_is_bitwise_the_reference(self, example):
+        # one np.take gather and factors in an (n, m, p) buffer change no
+        # bit of any field against the fancy-index, sample-major reference
+        residuals = inference.smooth_columns(example.values, SmootherConfig())[1]
+        stacks = [decompose(draw(np.random.default_rng(s) for s in range(30)))
+                  for draw, decompose in (inference._permutation_null(residuals),
+                                          permutation_null_reference(residuals))]
+        for field, got, expected in zip(MafStack._fields, *stacks):
+            np.testing.assert_array_equal(got, expected, err_msg=field)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_permutation_null_draws_are_bitwise_the_reference(self, example, monkeypatch,
+                                                              chunk_bytes, k):
+        report = signal_presence_test(example, B=199, n_factors_tested=k, seed=8)
+        monkeypatch.setattr(inference, "_permutation_null", permutation_null_reference)
+        reference = signal_presence_test(example, B=199, n_factors_tested=k, seed=8)
+        np.testing.assert_array_equal(report.null_draws, reference.null_draws)
 
     @pytest.mark.parametrize("B", [99, 1000])
     def test_permutation_null_never_calls_maf_stack(self, example, monkeypatch, B):
