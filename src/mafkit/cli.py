@@ -16,13 +16,15 @@ fixed-width slot that its text does not use is set to 0xFF, which never
 occurs in UTF-8, and one `bytes.translate` per chunk deletes them. The
 chunks are streamed into a temp file beside the target, which is then
 renamed over it, so the target holds either its old content or the whole
-new file. Input cells are ASCII decimal reals only:
-`float` syntax without underscores or non-ASCII digits. Artifacts contain no
-timestamps, so reruns with the same arguments are byte-identical. `main`
-creates the output directory before a command runs; a path that cannot be
-a directory is a config error. A failing command prints one error JSON and
-exits with its error type's `exit_code` (`mafkit.errors`); a command that
-reads no panel turns a data error into a config error.
+new file. The temp file is created with the mode `open()` would give it,
+0666 less the umask, and the umask is never changed. Input cells are ASCII
+decimal reals only: `float` syntax without underscores or non-ASCII digits.
+Artifacts contain no timestamps, so reruns with the same arguments are
+byte-identical. `main` creates the output directory before a command runs;
+a path that cannot be a directory is a config error. A failing command
+prints one error JSON and exits with its error type's `exit_code`
+(`mafkit.errors`); a command that reads no panel turns a data error into a
+config error.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -123,16 +124,14 @@ def ingest_csv(path, standardize: bool = False) -> TimeSeriesPanel:
 
 def _atomic_write(path: Path, pieces) -> None:
     # the pieces, bytes, stream into a temp file beside `path`, which replaces
-    # `path` only once every piece is written. mkstemp makes it 0600, so it
-    # is first given the mode open() would give it: 0666 less the umask,
-    # which can only be read by setting it
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    # `path` only once every piece is written. The temp file is created as
+    # open() creates a file, 0666 less the umask, under a random name (binary
+    # on Windows, where a file descriptor otherwise translates newlines)
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(pieces)
-        umask = os.umask(0o022)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

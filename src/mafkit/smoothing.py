@@ -17,8 +17,9 @@ values, and the n - k + 1 interior rows, which all have offset k // 2, are
 applied BLOCK_ROWS at a time through one Toeplitz block of that table row.
 So the operator holds O(k^2 + BLOCK_ROWS * k) floats, not n^2. Only the
 most recent operator is kept, and it is dropped before the next is built.
-L's trace is the smoother's degrees of freedom, which `SmoothResult`
-reports.
+Concurrent callers share it: a call never raises because another call
+replaced it, but two concurrent misses may each build an operator. L's
+trace is the smoother's degrees of freedom, which `SmoothResult` reports.
 `_fitted_columns` is the one way to apply L, to many columns at once,
 writing each product in place; `smooth_columns` adds the residuals, and
 `snr_columns` takes the fitted values of columns rescaled exactly
@@ -85,22 +86,29 @@ def _one_slot_cache(fn):
     """Cache the one most recent result of `fn`, like `lru_cache(maxsize=1)`,
     but drop the old result before computing a new one, so two smoother
     operators (offset table and Toeplitz block) are never alive together.
-    `cache_info()` reports the running count of misses and whether a result
-    is held; `cache_clear()` drops the held result."""
-    slot: dict = {}
-    misses = 0
+    The `(args, result)` pair sits in one cell, read once per call, so a
+    call never raises for another thread's miss; two concurrent misses may
+    each build. `cache_info()` reports the running count of misses and
+    whether a result is held; `cache_clear()` drops the held result."""
+    slot, misses = None, 0
 
     @wraps(fn)
     def cached(*args):
-        nonlocal misses
-        if args not in slot:
-            misses += 1
-            slot.clear()
-            slot[args] = fn(*args)
-        return slot[args]
+        nonlocal slot, misses
+        if (held := slot) is not None and held[0] == args:
+            return held[1]
+        misses += 1
+        # the old result goes before `fn` builds the new one
+        slot = held = None
+        slot = held = (args, fn(*args))
+        return held[1]
 
-    cached.cache_info = lambda: SimpleNamespace(misses=misses, currsize=len(slot))
-    cached.cache_clear = slot.clear
+    def cache_clear():
+        nonlocal slot
+        slot = None
+
+    cached.cache_info = lambda: SimpleNamespace(misses=misses, currsize=int(slot is not None))
+    cached.cache_clear = cache_clear
     return cached
 
 

@@ -737,18 +737,22 @@ def test_atomic_write_keeps_the_old_file_when_a_piece_fails(tmp_path):
     assert list(tmp_path.glob(".out.csv.*.tmp")) == []
 
 
-@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
-                         ids=["umask022", "umask077"])
-def test_artifacts_get_the_mode_open_would_give(tmp_path, umask, mode):
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+                         ids=["umask022", "umask077", "umask002"])
+def test_artifacts_get_the_mode_open_would_give(tmp_path, monkeypatch, umask, mode):
     # every file of an output directory is 0666 less the umask, as if
-    # written by open(), not mkstemp's 0600
+    # written by open(), not mkstemp's 0600; and the command never sets the
+    # process-wide umask, not even to read it
     out = tmp_path / "out"
-    old = os.umask(umask)
+    set_umask, calls = os.umask, []
+    monkeypatch.setattr(os, "umask", lambda mask: calls.append(mask) or set_umask(mask))
+    old = set_umask(umask)
     try:
         assert main(["resample", "--input", str(example_panel_path()), "--output", str(out),
                      "-B", "5", "--factors", "2", "--seed", "3"]) == 0
     finally:
-        os.umask(old)
+        set_umask(old)
+    assert calls == []
     modes = {f.name: f.stat().st_mode & 0o777 for f in out.iterdir()}
     assert len(modes) > 1 and set(modes.values()) == {mode}, modes
 

@@ -452,3 +452,23 @@ class TestHatMatrix:
         assert alive_at_build == [False, False]
         info = cached.cache_info()
         assert (info.misses, info.currsize) == (2, 1)
+
+    def test_hit_survives_a_miss_made_between_its_check_and_its_read(self):
+        # another thread's miss can replace the slot in the middle of a hit;
+        # here the key's hash makes that call, on the second hash of the hit
+        cached = _one_slot_cache(lambda key: [key])
+
+        class Key:
+            hashes_to_nested_call = None
+
+            def __hash__(self):
+                if self.hashes_to_nested_call is not None:
+                    self.hashes_to_nested_call -= 1
+                    if self.hashes_to_nested_call == 0:
+                        cached("other")
+                return 0
+
+        key = Key()
+        first = cached(key)
+        key.hashes_to_nested_call = 2
+        assert cached(key) is first
