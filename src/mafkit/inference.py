@@ -3,8 +3,13 @@ the MAF-vs-PCA comparison experiment, and factor-count selection.
 
 All resampling draws come from per-replicate RNG streams derived
 deterministically from (seed, replicate index): replicate b draws what
-`default_rng(SeedSequence(seed).spawn(B)[b])` would, so results are
-bit-identical across runs and independent of any evaluation order.
+`default_rng(SeedSequence(seed).spawn(B)[b])` would, in whatever chunks
+the replicates are evaluated. Results are bit-identical across runs for a
+fixed CHUNK_BYTES, numpy and BLAS. Across chunk sizes the draws are the
+same, but the SNR stage's BLAS products (`smoothing._fitted_columns`)
+round differently for other column counts, so `null_draws` move by up to
+about 1e-15 relative (at most 6.5e-16 on the packaged panel), and the
+p-values stay identical.
 
 Every resampling function and the comparison experiment run their
 replicates through one driver, `_replicates`. It computes the PCG64
@@ -21,13 +26,18 @@ p where the statistic smooths nothing (the autocorrelation, `resample_maf`'s
 aligned factors, the comparison experiment), so that a chunk is sized by
 its panels. The SNR stage holds a chunk's largest arrays, n x (panels *
 width) doubles, several at once; sized so, they stay near CHUNK_BYTES.
-Past glibc's 128 KiB mmap threshold each of them would come from a fresh
-mapping and pay page faults, so larger chunks are slower, not faster,
-though each chunk pays a fixed cost of about 100 numpy calls. The budget
-keeps memory flat in B. The floor keeps a long panel (3000 x 8 is 192 KB)
-from paying the kernel's per-call overhead once per replicate; it costs
-holding that many panels and their copies at once, about 6 MB at 3000 x 8,
-which grows with n but not with B. The kernel returns all p factors of each
+Each chunk pays a fixed cost of about 100 numpy calls. A temporary past
+glibc's initial 128 KiB mmap threshold does not each time pay for a fresh
+mapping: glibc raises the threshold to the size of the first such block
+freed, so later ones come from the heap (a warm 4999-replicate test of 2
+factors at 150 x 4 takes fewer than 300 minor page faults). Faults remain
+where the top of the heap is trimmed between chunks, as in `power_curve`,
+whose 106-panel chunks at 150 x 3 hold about ten (106, 3, 150) arrays of
+381 KB: about 5,500 faults per `power` command, at about 2 us each. The
+budget keeps memory flat in B. The floor keeps a long panel (3000 x 8 is
+192 KB) from paying the kernel's per-call overhead once per replicate; it
+costs holding that many panels and their copies at once, about 6 MB at
+3000 x 8, which grows with n but not with B. The kernel returns all p factors of each
 panel, and each caller slices the ones its statistic uses.
 A singular replicate is redrawn from its own stream; more than 10% of B
 redraws is an error. The bootstrap draws of `resample_maf` and of the
@@ -40,9 +50,10 @@ their MAF factors is decomposed from its lag-1 moments, with no covariance,
 whitening or redraw per replicate. Those factors are white, so each chunk
 solves `maf_stack`'s covariance pencil with W = I: one batched eigh of the
 differenced covariance built from the moments. A chunk's permuted rows are
-gathered with one `np.take`, and its factors are written time-major, as an
-(n, m, p) buffer, so that `_factor_snrs` reads their columns without a
-transpose copy.
+gathered with one `np.take`, and only the factor columns the test reads
+are formed: w = min(p, max(k, 2)) of them for k tested factors, written
+time-major into an (n, m, w) buffer, so that `_factor_snrs` reads them
+without a transpose copy for every k >= 2.
 """
 
 from __future__ import annotations
@@ -87,11 +98,13 @@ __all__ = [
 # smooths (`_replicates`' width): enough panels to amortize the fixed cost
 # of a chunk, about 100 numpy calls (53 panels for the presence test's 2
 # factors at 150 x 4, 26 when all 4 are tested), few enough that memory
-# does not grow with B and that the SNR stage's arrays stay near glibc's
-# 128 KiB mmap threshold, above which each temporary costs page faults. A
-# chunk holds at least MIN_CHUNK_PANELS panels, so that long panels (3000 x
-# 8, of which CHUNK_BYTES holds less than one) still share the kernel's
-# calls; memory then grows with n, not with B.
+# does not grow with B. Temporaries past glibc's initial 128 KiB mmap
+# threshold come from the heap once the first is freed, since glibc then
+# raises the threshold; they pay page faults only where the heap's top is
+# trimmed between chunks (about 5,500 per `power` command). A chunk holds
+# at least MIN_CHUNK_PANELS panels, so that long panels (3000 x 8, of which
+# CHUNK_BYTES holds less than one) still share the kernel's calls; memory
+# then grows with n, not with B.
 CHUNK_BYTES = 128_000
 MIN_CHUNK_PANELS = 4
 
@@ -220,7 +233,7 @@ def _factor_snrs(factors: np.ndarray, cfg: SmootherConfig) -> np.ndarray:
     return snr_columns(columns, cfg).reshape(m, k).T
 
 
-def _permutation_null(residuals: np.ndarray):
+def _permutation_null(residuals: np.ndarray, k: int):
     """`draw` and `decompose` for `_replicates` over the row permutations
     of an (n, p) residual panel, in the residuals' own MAF coordinates.
 
@@ -238,12 +251,16 @@ def _permutation_null(residuals: np.ndarray):
     rows of Z[pi],
     D = (2 G0 - f f^T - l l^T - (G1 + G1^T) - (l - f)(l - f)^T / (n - 1)) / (n - 2).
     One batched eigh of D gives the ascending eigenvalues and V; the
-    factors are Z[pi] V, centered, and the coefficients C V. The factors
-    are written into an (n, m, p) buffer and returned as its (m, n, p)
-    view, so that `_factor_snrs` reads their columns for the SNR stage
-    without a strided transpose copy. The moments cancel when rows are
-    strongly autocorrelated, but permuted rows have lag-1 autocorrelation
-    near 0; every other replicate panel goes through `maf_stack`.
+    coefficients are C V, and the factors Z[pi] V, centered, of which only
+    the first w = min(p, max(k, 2)) are formed for k tested factors. They
+    are written into an (n, m, w) buffer and returned as its (m, n, w)
+    view, so that `_factor_snrs` reads their k columns for the SNR stage
+    as a view for every k >= 2, with no transpose copy. At k = 1 two
+    columns are formed: one would be a matrix-vector product, which rounds
+    differently from the matrix products of two or more columns. The
+    moments cancel when rows are strongly autocorrelated, but permuted rows
+    have lag-1 autocorrelation near 0; every other replicate panel goes
+    through `maf_stack`.
     """
     try:
         basis = maf_stack(residuals[None])
@@ -252,6 +269,8 @@ def _permutation_null(residuals: np.ndarray):
     coefficients, z = basis.coefficients[0], basis.factors[0]
     z = z - z.mean(axis=0)
     n, p = z.shape
+    # a (p, 1) operand would send matmul to gemv, which rounds differently
+    w = min(p, max(k, 2))
     twice_g0 = 2.0 * (z.T @ z)
 
     def draw(rngs):
@@ -268,9 +287,9 @@ def _permutation_null(residuals: np.ndarray):
         diff_cov = (twice_g0 - outer(first) - outer(last) - (g1 + np.swapaxes(g1, 1, 2))
                     - outer(jump) / (n - 1)) / (n - 2)
         values, vectors = np.linalg.eigh(diff_cov)
-        factors = np.empty((n, len(zs), p)).transpose(1, 0, 2)
-        return MafStack(coefficients @ vectors, np.matmul(zs, vectors, out=factors), values,
-                        np.zeros(len(zs), dtype=bool))
+        factors = np.empty((n, len(zs), w)).transpose(1, 0, 2)
+        return MafStack(coefficients @ vectors, np.matmul(zs, vectors[..., :w], out=factors),
+                        values, np.zeros(len(zs), dtype=bool))
 
     return draw, decompose
 
@@ -458,7 +477,7 @@ def signal_presence_test(panel, B: int, cfg: SmootherConfig = SmootherConfig(),
 
     _, residuals, _ = smooth_columns(panel.values, cfg)
     if mode == "permutation":
-        draw, decompose = _permutation_null(residuals)
+        draw, decompose = _permutation_null(residuals, k)
     else:
         draw, decompose = _block_bootstrap(residuals, block_len), None
 

@@ -107,8 +107,10 @@ class MafStack(NamedTuple):
         each with the sign LAPACK gave it; callers that publish factors set
         their own sign rule.
     factors : (m, n, p), panel values @ coefficients; a writable (m, n, p)
-        view, of `maf_stack`'s time-major (m, p, n) product or of the
-        permutation null's (n, m, p) buffer, laid out for the SNR stage.
+        view of `maf_stack`'s time-major (m, p, n) product, laid out for the
+        SNR stage. The permutation null's stack holds only the first w
+        columns, as the (m, n, w) view of its (n, m, w) buffer, where
+        w = min(p, max(k, 2)) for k tested factors.
     diff_eigenvalues : (m, p) ascending eigenvalues K of the pencil, the
         whitened differenced covariance W^T Σ_Δ W; lag-1 autocorrelation
         is 1 - K/2.

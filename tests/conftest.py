@@ -66,11 +66,17 @@ def golden_max(fun, lo, hi, tol=1e-10):
 
 
 def angle_between(u, v):
-    """Acute angle between two directions (sign-invariant), in radians."""
+    """Acute angle between two directions (sign-invariant), in radians.
+
+    2 atan2(|u - s v|, |u + s v|) of the unit vectors, s the sign of u . v:
+    accurate to rounding at every angle, where arccos of the cosine cannot
+    resolve angles below about 1.5e-8 (its cosine rounds to 1).
+    """
     u = np.asarray(u, float).ravel()
     v = np.asarray(v, float).ravel()
-    cosine = abs(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
-    return float(np.arccos(min(cosine, 1.0)))
+    u = u / np.linalg.norm(u)
+    v = v / np.linalg.norm(v) * (-1.0 if u @ v < 0 else 1.0)
+    return float(2.0 * np.arctan2(np.linalg.norm(u - v), np.linalg.norm(u + v)))
 
 
 def align_columns_by_sign(candidate, reference):

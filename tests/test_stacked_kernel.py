@@ -223,11 +223,12 @@ def maf_stack_permutation_null(panel, B, k, seed, cfg=SmootherConfig()):
     return null, spectra
 
 
-def permutation_null_reference(residuals):
+def permutation_null_reference(residuals, k=None):
     """`inference._permutation_null` as it was before its chunks were laid
     out for the SNR stage: the chunk's rows gathered by a fancy index, the
     outer products of the first, last and jump rows as (p, 1) @ (1, p)
-    matmuls, 2 G0 formed per chunk, and sample-major (m, n, p) factors."""
+    matmuls, 2 G0 formed per chunk, and all p factors, sample-major
+    (m, n, p), whatever the number k of factors tested."""
     basis = maf_stack(residuals[None])
     coefficients, z = basis.coefficients[0], basis.factors[0]
     z = z - z.mean(axis=0)
@@ -274,8 +275,8 @@ def count_chunks(monkeypatch) -> list:
     calls = count_maf_stack(monkeypatch)
     permutation_null = inference._permutation_null
 
-    def counted_null(residuals):
-        draw, decompose = permutation_null(residuals)
+    def counted_null(residuals, k):
+        draw, decompose = permutation_null(residuals, k)
 
         def counted(zs):
             calls.append(len(zs))
@@ -725,43 +726,84 @@ class TestPresence:
             k += 1
         assert result.k == k
 
-    def test_permutation_null_stack_matches_maf_stack(self, example):
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_permutation_null_stack_matches_maf_stack(self, example, k):
         # every field, on the same permuted residual panels; the moments
-        # factors are centered
+        # factors are centered, and only the first w of them are formed
         residuals = inference.smooth_columns(example.values, SmootherConfig())[1]
-        draw, decompose = inference._permutation_null(residuals)
+        draw, decompose = inference._permutation_null(residuals, k)
         stack = decompose(draw(np.random.default_rng(s) for s in range(30)))
+        w = min(example.p, max(k, 2))
+        assert stack.factors.shape == (30, example.n, w)
         rows = np.stack([np.random.default_rng(s).permutation(example.n) for s in range(30)])
         reference = maf_stack(residuals[rows])
         assert not stack.singular.any()
         np.testing.assert_allclose(stack.diff_eigenvalues, reference.diff_eigenvalues,
                                    rtol=TOL, atol=0)
         panels = residuals[rows] - residuals.mean(axis=0)
-        np.testing.assert_allclose(panels @ stack.coefficients, stack.factors, rtol=0, atol=TOL)
+        np.testing.assert_allclose((panels @ stack.coefficients)[..., :w], stack.factors,
+                                   rtol=0, atol=TOL)
         signs = np.sign(np.sum(stack.coefficients * reference.coefficients, axis=1,
                                keepdims=True))
         np.testing.assert_allclose(stack.coefficients * signs, reference.coefficients,
                                    rtol=0, atol=TOL * np.abs(reference.coefficients).max())
         expected = reference.factors - reference.factors.mean(axis=1, keepdims=True)
-        np.testing.assert_allclose(stack.factors * signs, expected, rtol=0, atol=TOL)
+        np.testing.assert_allclose(stack.factors * signs[..., :w], expected[..., :w],
+                                   rtol=0, atol=TOL)
 
-    def test_permutation_null_chunk_is_bitwise_the_reference(self, example):
-        # one np.take gather and factors in an (n, m, p) buffer change no
-        # bit of any field against the fancy-index, sample-major reference
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_permutation_null_chunk_is_bitwise_the_reference(self, example, k):
+        # one np.take gather and the first w factors in an (n, m, w) buffer
+        # change no bit of any field against the fancy-index, sample-major
+        # reference, which forms all p factors
         residuals = inference.smooth_columns(example.values, SmootherConfig())[1]
         stacks = [decompose(draw(np.random.default_rng(s) for s in range(30)))
-                  for draw, decompose in (inference._permutation_null(residuals),
+                  for draw, decompose in (inference._permutation_null(residuals, k),
                                           permutation_null_reference(residuals))]
+        w = min(example.p, max(k, 2))
         for field, got, expected in zip(MafStack._fields, *stacks):
+            if field == "factors":
+                expected = expected[..., :w]
             np.testing.assert_array_equal(got, expected, err_msg=field)
 
-    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_permutation_null_draws_are_bitwise_the_reference(self, example, monkeypatch,
                                                               chunk_bytes, k):
         report = signal_presence_test(example, B=199, n_factors_tested=k, seed=8)
         monkeypatch.setattr(inference, "_permutation_null", permutation_null_reference)
         reference = signal_presence_test(example, B=199, n_factors_tested=k, seed=8)
         np.testing.assert_array_equal(report.null_draws, reference.null_draws)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_permutation_null_snrs_read_the_factor_buffer(self, example, monkeypatch, k):
+        # each chunk forms w = min(p, max(k, 2)) factors in an (n, m, w)
+        # buffer, and the SNR stage's columns are a view of it, not a copy
+        stacks, columns = [], []
+        permutation_null = inference._permutation_null
+
+        def spied_null(residuals, k):
+            draw, decompose = permutation_null(residuals, k)
+
+            def spied(zs):
+                stacks.append(decompose(zs))
+                return stacks[-1]
+
+            return draw, spied
+
+        def spied_snr_columns(values, cfg):
+            columns.append(values)
+            return snr_columns(values, cfg)
+
+        monkeypatch.setattr(inference, "_permutation_null", spied_null)
+        monkeypatch.setattr(inference, "snr_columns", spied_snr_columns)
+        signal_presence_test(example, B=250, n_factors_tested=k, seed=1)
+        w = min(example.p, max(k, 2))
+        assert len(columns) == len(stacks) > 1
+        for stack, values in zip(stacks, columns):
+            m = len(stack.factors)
+            assert stack.factors.base.shape == (example.n, m, w)
+            assert values.shape == (example.n, m * k)
+            assert np.shares_memory(values, stack.factors.base)
 
     @pytest.mark.parametrize("B", [99, 1000])
     def test_permutation_null_never_calls_maf_stack(self, example, monkeypatch, B):
